@@ -20,7 +20,8 @@ import os
 import time
 from collections import deque
 
-from repro.desim import Environment, FairShareLink, Resource, Store, Topics
+from repro.desim import Environment, Resource, Store, Topics
+from repro.net import Fabric
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
@@ -90,7 +91,7 @@ def churn_store(n_items=5000):
 
 def churn_link(n_flows=100, waves=10):
     env = Environment()
-    link = FairShareLink(env, capacity=1e6)
+    link = Fabric(env).attach("link", 1e6)
 
     def sender(env):
         for _ in range(waves):
@@ -118,8 +119,9 @@ def test_kernel_store_throughput(benchmark):
     benchmark(churn_store)
 
 
-def test_kernel_fair_share_link_churn(benchmark):
-    # 1000 flow arrivals/departures with O(flows) rate recomputation.
+def test_kernel_fabric_link_churn(benchmark):
+    # 1000 flow arrivals/departures on a one-link fabric: coalesced
+    # flushes with O(flows) water-filling per rate recomputation.
     moved = benchmark(churn_link)
     assert moved == 100 * 10 * 1e4
 

@@ -23,7 +23,7 @@ from repro.core import (
 from repro.dbs import DBS, synthetic_dataset
 from repro.desim import Environment
 from repro.distributions import WeibullEviction
-from repro.monitor import diagnose
+from repro.monitor import diagnose, requeue_summary
 from repro.storage.wan import OutageWindow
 
 HOUR = 3600.0
@@ -86,7 +86,7 @@ def main() -> None:
     m = run.metrics
     print(f"\nrun finished after {env.now / HOUR:.1f} simulated hours")
     print(f"tasks: {m.n_succeeded()} ok, {m.n_failed()} failed, "
-          f"{run.master.tasks_requeued} requeued after eviction")
+          f"{requeue_summary(run.master)}")
 
     bin_w = 0.5 * HOUR
     t, running = m.running.binned(bin_w, agg="mean", t_end=env.now)

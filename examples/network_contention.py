@@ -22,10 +22,10 @@ from collections import Counter
 
 from repro.batch import MachinePool
 from repro.core import Services
-from repro.desim import Environment, Topics, TransferCancelled
+from repro.desim import Environment, Topics
 from repro.monitor import BusCollector
 from repro.monitor.report import ascii_bar, ascii_timeline
-from repro.net import TrafficClass
+from repro.net import TrafficClass, TransferCancelled
 from repro.storage.wan import OutageWindow
 
 MB = 1_000_000.0

@@ -652,10 +652,7 @@ def cmd_trace(args, out) -> int:
         )
         env.run(until=run.process)
         pool.drain()
-        try:
-            env.run(until=env.now + 300.0)
-        except RuntimeError:
-            pass
+        env.run(until=env.now + 300.0)
         orphan_count = len(tracer.finalize())
         spans = list(tracer.spans)
         metrics = run.metrics

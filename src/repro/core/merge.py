@@ -441,6 +441,8 @@ class MergeManager:
 
         The map phase groups the small-file names; each reducer pulls one
         group's data to its node, merges, and writes back into HDFS.
+        Under causal tracing the whole job runs inside a ``merge.hadoop``
+        span, so its HDFS flows land on the span tree and critical path.
         """
         if self.services.mapreduce is None:
             raise RuntimeError("hadoop merge requires Services.mapreduce")
@@ -465,7 +467,15 @@ class MergeManager:
             ),
             reduce_output=lambda key: by_id[key].output_name,
         )
+        tr = self.services.env.spans
+        span = None
+        if tr is not None:
+            label = self.workflow.label
+            root = tr.unit_root(f"{label}:m:hadoop", workflow=label, category="merge")
+            span = tr.start("merge.hadoop", parent=root, activate=True, groups=len(groups))
         results = yield from self.services.mapreduce.run(job)
+        if span is not None:
+            tr.end(span)
         now = self.services.env.now
         for gid, _name in sorted(results.items()):
             self._commit_merged(by_id[gid], now)

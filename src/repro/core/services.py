@@ -6,9 +6,10 @@ be wired once and passed around, and provides a one-call default stack
 with paper-scale parameters.
 
 ``Services.default`` also owns the shared network :class:`~repro.net.Fabric`:
-the WAN uplink, squid NICs, Chirp NIC + SE spindles and the Frontier
-origin all attach to one campus topology, so CVMFS, Frontier, XrootD,
-staging and merge traffic genuinely contend on the links they share.
+the WAN uplink, squid NICs, Chirp NIC + SE spindles, the Frontier
+origin and (with Hadoop) the HDFS datanode disks and NICs all attach to
+one campus fabric, so CVMFS, Frontier, XrootD, staging and merge traffic
+are accounted in one place and contend on the links they share.
 Pass ``services.fabric`` to ``MachinePool.homogeneous`` and ``Master``
 to put the compute side on the same tree.
 """
@@ -78,7 +79,7 @@ class Services:
         wan = WideAreaNetwork(
             env, bandwidth=topology.wan_bandwidth, outages=outages, fabric=fabric
         )
-        hdfs = HDFS(env, seed=seed) if with_hadoop else None
+        hdfs = HDFS(env, seed=seed, fabric=fabric) if with_hadoop else None
         proxies = ProxyFarm.deploy(env, n_proxies, fabric=fabric)
         return cls(
             env=env,

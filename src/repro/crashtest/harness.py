@@ -388,10 +388,7 @@ def _execute(prepared, settle, cap: float = SIM_TIME_CAP):
         return f"campaign deadlocked: {exc}"
     prepared.pool.drain()
     if settle is not None:
-        try:
-            env.run(until=env.now + settle)
-        except RuntimeError:
-            pass  # queue drained before the settling window elapsed
+        env.run(until=env.now + settle)
     if run.finished_at is None:
         return (
             f"campaign did not finish within {cap:.0f} simulated seconds"

@@ -7,8 +7,11 @@ HTCondor pool, CVMFS caches, storage servers) are modelled.  It provides:
 * generator-based processes with interrupts (used for evictions),
 * :class:`Resource`, :class:`Store`, :class:`Container` synchronisation
   primitives,
-* :class:`FairShareLink` — max-min fair bandwidth sharing for network
-  and disk contention modelling.
+* :class:`EventBus` — the typed publish/subscribe bus every layer narrates
+  on.
+
+Bandwidth sharing (network and disk contention) lives one layer up, in
+:mod:`repro.net`.
 
 Example
 -------
@@ -35,7 +38,6 @@ from .events import (
     StopProcess,
     Timeout,
 )
-from .bandwidth import FairShareLink, Transfer, TransferCancelled, allocate_max_min
 from .trace import Tracer
 from .resources import (
     Container,
@@ -69,10 +71,6 @@ __all__ = [
     "Store",
     "FilterStore",
     "PriorityStore",
-    "FairShareLink",
-    "Transfer",
-    "TransferCancelled",
-    "allocate_max_min",
     "Tracer",
     "BusEvent",
     "EventBus",

@@ -5,6 +5,12 @@ Lobster's storage element at Notre Dame was HDFS behind a Chirp server.
 The model captures what affects merge performance: block placement over
 datanodes, pipelined replicated writes, and data-local reads that bypass
 the front-end server entirely (the advantage of merging *inside* Hadoop).
+
+Datanode disks and NICs are standalone links on a network
+:class:`~repro.net.Fabric` (the shared campus one from
+``Services.default``, else a private one), and every HDFS byte is tagged
+:attr:`~repro.net.TrafficClass.MERGE`, so merge traffic shows up in
+``net.flow``, the per-class bandwidth timelines and the critical path.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..desim import Environment, FairShareLink
+from ..desim import Environment
+from ..net import Fabric, TrafficClass
 
 __all__ = ["DataNode", "HdfsBlock", "HdfsFile", "HDFS"]
 
@@ -24,7 +31,7 @@ GBIT = 125_000_000.0
 
 
 class DataNode:
-    """One storage node: a disk and a NIC, both fair-shared."""
+    """One storage node: a disk and a NIC, both fair-shared fabric links."""
 
     _ids = count()
 
@@ -34,11 +41,13 @@ class DataNode:
         disk_bandwidth: float = 400 * MB,
         nic_bandwidth: float = 1 * GBIT,
         name: Optional[str] = None,
+        fabric: Optional[Fabric] = None,
     ):
         self.env = env
         self.name = name or f"datanode{next(self._ids):03d}"
-        self.disk = FairShareLink(env, disk_bandwidth, name=f"{self.name}.disk")
-        self.nic = FairShareLink(env, nic_bandwidth, name=f"{self.name}.nic")
+        fabric = fabric if fabric is not None else Fabric(env)
+        self.disk = fabric.attach(f"{self.name}.disk", disk_bandwidth)
+        self.nic = fabric.attach(f"{self.name}.nic", nic_bandwidth)
         self.blocks_stored = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -78,6 +87,7 @@ class HDFS:
         disk_bandwidth: float = 400 * MB,
         nic_bandwidth: float = 1 * GBIT,
         seed: int = 0,
+        fabric: Optional[Fabric] = None,
     ):
         if n_datanodes <= 0:
             raise ValueError("need at least one datanode")
@@ -88,8 +98,10 @@ class HDFS:
         self.env = env
         self.replication = replication
         self.block_size = block_size
+        self.fabric = fabric if fabric is not None else Fabric(env)
         self.datanodes = [
-            DataNode(env, disk_bandwidth, nic_bandwidth) for _ in range(n_datanodes)
+            DataNode(env, disk_bandwidth, nic_bandwidth, fabric=self.fabric)
+            for _ in range(n_datanodes)
         ]
         self.rng = np.random.default_rng(seed)
         self._namespace: Dict[str, HdfsFile] = {}
@@ -150,9 +162,10 @@ class HDFS:
             if size > 0:
                 # Pipelined write: all replica disks work concurrently;
                 # the block lands when the slowest replica finishes.
-                flows = [dn.disk.transfer(size) for dn in replicas]
+                cls = TrafficClass.MERGE
+                flows = [dn.disk.transfer(size, cls=cls) for dn in replicas]
                 # Off-node replicas also cross their NICs.
-                flows += [dn.nic.transfer(size) for dn in replicas[1:]]
+                flows += [dn.nic.transfer(size, cls=cls) for dn in replicas[1:]]
                 try:
                     yield self.env.all_of(flows)
                 except BaseException:
@@ -183,12 +196,15 @@ class HDFS:
                 continue
             if local is not None and local in block.replicas:
                 src = local
-                flows = [src.disk.transfer(block.size)]
+                flows = [src.disk.transfer(block.size, cls=TrafficClass.MERGE)]
             else:
                 src = block.replicas[
                     int(self.rng.integers(0, len(block.replicas)))
                 ]
-                flows = [src.disk.transfer(block.size), src.nic.transfer(block.size)]
+                flows = [
+                    src.disk.transfer(block.size, cls=TrafficClass.MERGE),
+                    src.nic.transfer(block.size, cls=TrafficClass.MERGE),
+                ]
             try:
                 yield self.env.all_of(flows)
             except BaseException:

@@ -18,7 +18,7 @@ from .export import (
 )
 from .metrics import EventLog, TimeSeries
 from .records import RunMetrics, RuntimeBreakdown, TaskRecord
-from .report import ascii_bar, ascii_timeline, render_report
+from .report import ascii_bar, ascii_timeline, render_report, requeue_summary
 from .rollup import (
     Rollup,
     RollupCollector,
@@ -27,7 +27,6 @@ from .rollup import (
     split_events_by_window,
     verify_parity,
 )
-from .samplers import LinkSampler, sample_links
 from .stats import (
     SegmentStats,
     all_segment_stats,
@@ -70,6 +69,7 @@ __all__ = [
     "Diagnosis",
     "diagnose",
     "render_report",
+    "requeue_summary",
     "ascii_bar",
     "ascii_timeline",
     "contextualize",
@@ -89,8 +89,6 @@ __all__ = [
     "CsvSink",
     "load_events",
     "records_from_events",
-    "LinkSampler",
-    "sample_links",
     "TraceContext",
     "Span",
     "SpanTracer",

@@ -18,7 +18,7 @@ from .records import RunMetrics
 from .stats import all_segment_stats
 from .troubleshoot import diagnose
 
-__all__ = ["render_report", "ascii_bar", "ascii_timeline"]
+__all__ = ["render_report", "requeue_summary", "ascii_bar", "ascii_timeline"]
 
 HOUR = 3600.0
 
@@ -48,6 +48,16 @@ def ascii_timeline(values, width: int = 60, height_chars: str = " .:-=+*#%@") ->
     return "".join(height_chars[int(round(v / top * scale))] for v in values)
 
 
+def requeue_summary(master) -> str:
+    """``"N requeued"`` plus the per-reason breakdown, largest first,
+    e.g. ``"5 requeued (eviction 3, fast-abort 2)"``."""
+    text = f"{master.tasks_requeued} requeued"
+    by_reason = sorted(master.requeues_by_reason.items(), key=lambda kv: (-kv[1], kv[0]))
+    if by_reason:
+        text += " (" + ", ".join(f"{reason} {n}" for reason, n in by_reason) + ")"
+    return text
+
+
 def render_report(run, bin_width: float = 1800.0) -> str:
     """Full text report for a (possibly still running) LobsterRun."""
     m: RunMetrics = run.metrics
@@ -62,7 +72,7 @@ def render_report(run, bin_width: float = 1800.0) -> str:
     push(f"simulated span : {start / HOUR:.2f} h -> {end / HOUR:.2f} h "
          f"({(end - start) / HOUR:.2f} h)")
     push(f"tasks          : {m.n_succeeded()} succeeded, {m.n_failed()} failed, "
-         f"{run.master.tasks_requeued} requeued after eviction")
+         f"{requeue_summary(run.master)}")
     if run.master.worker_samples:
         peak_workers = max(v for _, v in run.master.worker_samples)
         peak_cores = max((v for _, v in run.master.core_samples), default=0)
@@ -152,7 +162,7 @@ def render_report(run, bin_width: float = 1800.0) -> str:
         failed = m.n_flows_failed()
         if failed:
             push(f"  flows failed in transit : {failed}")
-        fabric = getattr(services, "fabric", None)
+        fabric = services.fabric
         if fabric is not None:
             busy = [
                 (name, util, gb)

@@ -15,8 +15,9 @@ mark links dirty, all changes at one DES timestamp are coalesced into a
 single recompute, and the recompute walks only the connected component
 of links/flows actually touched — untouched flows keep their rates.
 
-Single-link fabrics reproduce :class:`~repro.desim.FairShareLink`
-dynamics exactly, which is how legacy constructors keep working: a
+The fabric is the simulator's only bandwidth model.  A standalone link
+(one attached without a node) behaves as a plain max-min fair-share
+link, which is how point resources such as disks are modelled and how a
 component built without a shared fabric gets a private flat one.
 """
 
@@ -24,12 +25,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..desim import Environment, Timeout, Topics, TransferCancelled
-from ..desim.bandwidth import allocate_max_min
+from ..desim import Environment, Timeout, Topics
 from ..desim.events import Event, PENDING
 from .allocator import waterfill
 
-__all__ = ["Fabric", "Flow", "Link", "LinkDown", "TrafficClass", "transfer_on"]
+__all__ = ["Fabric", "Flow", "Link", "LinkDown", "TrafficClass", "TransferCancelled"]
 
 _EPS = 1e-9
 
@@ -48,17 +48,16 @@ class TrafficClass:
     ALL = (CVMFS, FRONTIER, XROOTD, STAGING, OUTPUT, MERGE, DEFAULT)
 
 
+class TransferCancelled(Exception):
+    """A flow was cancelled (e.g. worker evicted mid-stream)."""
+
+
 class LinkDown(TransferCancelled):
     """A flow was failed because a link on its route went down."""
 
 
 class Flow(Event):
-    """An in-flight transfer occupying every link along its route.
-
-    API-compatible with :class:`~repro.desim.Transfer` (``nbytes``,
-    ``remaining``, ``rate``, ``elapsed``, ``cancel()``) so call sites
-    can hold either.
-    """
+    """An in-flight transfer occupying every link along its route."""
 
     __slots__ = (
         "fabric",
@@ -100,15 +99,6 @@ class Flow(Event):
         proc = fabric.env._active_proc
         self.span = proc.span_ctx if proc is not None else None
 
-    @property
-    def elapsed(self) -> float:
-        return self.env.now - self.started
-
-    @property
-    def link(self) -> Optional["Link"]:
-        """The first link of the route (Transfer-API compatibility)."""
-        return self.route[0] if self.route else None
-
     def cancel(self) -> None:
         """Abort the flow; it fails with :class:`TransferCancelled`.
 
@@ -125,13 +115,8 @@ class Flow(Event):
 
 
 class Link:
-    """One named edge of the fabric with max-min shared capacity.
-
-    Drop-in surface for :class:`~repro.desim.FairShareLink`: single-link
-    ``transfer`` / ``set_capacity`` / ``active_flows`` / ``bytes_moved``
-    / ``utilization`` behave identically, plus per-traffic-class byte
-    accounting and link-level outage schedules.
-    """
+    """One named edge of the fabric with max-min shared capacity,
+    per-traffic-class byte accounting and link-level outage schedules."""
 
     def __init__(
         self,
@@ -156,15 +141,12 @@ class Link:
         # statistics
         self.bytes_moved = 0.0
         self.bytes_by_class: Dict[str, float] = {}
-        self._busy_integral = 0.0
-        self._window_start = fabric.env.now
+        self._created = fabric.env.now
         # outages
         self._outage = False
         self._fail_after = 0.0
         self._saved_capacity = self._capacity
-        self.outages_seen = 0
 
-    # -- FairShareLink-compatible surface ---------------------------------
     @property
     def capacity(self) -> float:
         return self._capacity
@@ -190,31 +172,12 @@ class Link:
         self.fabric._touch((self,))
 
     def utilization(self) -> float:
-        """Mean fraction of capacity in use over the current window.
-
-        The window starts at link creation (or the last call to
-        :meth:`reset_utilization_window`) and ends now.
-        """
+        """Mean fraction of capacity in use since the link was created."""
         self.fabric._advance()
-        horizon = self.env.now - self._window_start
+        horizon = self.env.now - self._created
         if horizon <= 0 or self._capacity <= 0:
             return 0.0
-        return min(1.0, self._busy_integral / (self._capacity * horizon))
-
-    def reset_utilization_window(self) -> None:
-        """Start a fresh utilization window at the current time."""
-        self.fabric._advance()
-        self._busy_integral = 0.0
-        self._window_start = self.env.now
-
-    def estimate_duration(self, nbytes: float, max_rate: Optional[float] = None) -> float:
-        """Duration estimate for a new transfer at current congestion,
-        honouring existing flows' own rate caps."""
-        if self._capacity <= 0:
-            return float("inf")
-        demands = [f.max_rate for f in self._flows] + [max_rate]
-        rate = allocate_max_min(demands, self._capacity)[-1]
-        return nbytes / rate if rate > 0 else float("inf")
+        return min(1.0, self.bytes_moved / (self._capacity * horizon))
 
     # -- outage schedules --------------------------------------------------
     def schedule_outages(self, windows: Sequence, fail_after: Optional[float] = 30.0) -> None:
@@ -248,7 +211,6 @@ class Link:
             self._outage = True
             self._saved_capacity = self._capacity
             self.set_capacity(0.0)
-            self.outages_seen += 1
             port = self.fabric._outage_port
             if port.on:
                 port.emit(link=self.name, up=False, until=w.end)
@@ -270,15 +232,6 @@ class Link:
             f"<Link {self.name!r} cap={self._capacity:.0f}B/s "
             f"flows={len(self._flows)}>"
         )
-
-
-def transfer_on(link, nbytes: float, cls: str = TrafficClass.DEFAULT, max_rate: Optional[float] = None):
-    """Start a transfer on either a :class:`Link` (tagged with *cls*)
-    or a plain :class:`~repro.desim.FairShareLink` (which has no
-    traffic-class accounting)."""
-    if isinstance(link, Link):
-        return link.transfer(nbytes, max_rate=max_rate, cls=cls)
-    return link.transfer(nbytes, max_rate=max_rate)
 
 
 class Fabric:
@@ -348,18 +301,11 @@ class Fabric:
     def has_node(self, node: str) -> bool:
         return node in self._nodes
 
-    @property
-    def nodes(self) -> List[str]:
-        return list(self._nodes)
-
     def parent(self, node: str) -> Optional[str]:
         return self._nodes[node][0]
 
     def uplink(self, node: str) -> Optional[Link]:
         return self._nodes[node][1]
-
-    def has_path(self, a: str, b: str) -> bool:
-        return a in self._nodes and b in self._nodes
 
     def route(self, src: str, dst: str) -> Tuple[Link, ...]:
         """The unique tree path between two nodes, as a link tuple."""
@@ -588,7 +534,6 @@ class Fabric:
         for link in self._active_links:
             moved = link._agg_rate * dt
             link.bytes_moved += moved
-            link._busy_integral += moved
             by_cls = link.bytes_by_class
             for cls, r in link._cls_rate.items():
                 by_cls[cls] = by_cls.get(cls, 0.0) + r * dt

@@ -116,10 +116,7 @@ def execute_prepared(
     summary = env.run(until=prepared.run.process)
     prepared.pool.drain()
     if settle is not None:
-        try:
-            env.run(until=env.now + settle)
-        except RuntimeError:
-            pass  # queue drained before the settling window elapsed
+        env.run(until=env.now + settle)
     return ScenarioResult(env, prepared.run, prepared.pool, summary)
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence
 
-from ..desim import Environment, Topics, TransferCancelled
-from ..net import Fabric, TrafficClass, transfer_on
+from ..desim import Environment, Topics
+from ..net import Fabric, TrafficClass, TransferCancelled
 from .wan import OutageWindow, WideAreaNetwork
 
 __all__ = ["XrootdError", "XrootdFederation", "XrootdStream", "RemoteSite"]
@@ -110,7 +110,8 @@ class XrootdStream:
         WAN, the read is one end-to-end flow occupying every link from
         the source (or the ``world`` node) down to the client — NIC,
         rack trunk, campus uplink and source uplink all contend.
-        Otherwise the legacy pipelined per-link flows are used.  Raises
+        Otherwise (the client NIC is on another fabric) the WAN, source
+        uplink and client NIC carry concurrent per-link flows.  Raises
         :class:`XrootdError` if the federation goes out while the read
         is in flight (the transfer stalls at zero bandwidth, and the
         client's request times out).
@@ -136,8 +137,8 @@ class XrootdStream:
         extra = []
         if (
             client_link is not None
-            and getattr(client_link, "fabric", None) is fabric
-            and getattr(client_link, "node", None) is not None
+            and client_link.fabric is fabric
+            and client_link.node is not None
         ):
             # One end-to-end flow across the shared fabric.
             if self.source is not None and self.source.fabric is fabric:
@@ -161,7 +162,7 @@ class XrootdStream:
             if self.source is not None:
                 extra.append(self.source.uplink.transfer(nbytes, cls=cls))
             if client_link is not None:
-                extra.append(transfer_on(client_link, nbytes, cls=cls))
+                extra.append(client_link.transfer(nbytes, cls=cls))
         # An outage beginning mid-read surfaces as a read error once the
         # client-side timeout expires.
         watchdog = env.process(fed._outage_watch(flow), name="xrootd-watch")

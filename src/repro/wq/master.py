@@ -56,6 +56,8 @@ class Master:
         self.tasks_running = 0
         self.tasks_returned = 0
         self.tasks_requeued = 0
+        #: Requeue count per loss reason (eviction, worker-crash, fast-abort).
+        self.requeues_by_reason: Dict[str, int] = {}
         #: (time, running) samples for concurrency timelines.
         self.running_samples: List[tuple] = []
         #: (time, workers connected) samples (§5's overview panel).
@@ -308,6 +310,7 @@ class Master:
             return
         delay = self.recovery.requeue_delay(task.attempts)
         self.tasks_requeued += 1
+        self.requeues_by_reason[reason] = self.requeues_by_reason.get(reason, 0) + 1
         port = self._p_requeue
         if port.on:
             port.emit(

@@ -1,7 +1,7 @@
 """Store-and-forward transfer helper for the WQ hierarchy.
 
 A hop moves bytes off the sender's NIC and onto the receiver's NIC.
-When both NICs sit on the same shared network fabric the hop is one
+When both NICs are nodes of the same network fabric the hop is one
 end-to-end flow crossing every link between the two nodes (rack trunks,
 the campus core); otherwise the two links are occupied concurrently
 (pipelined), so the hop takes as long as the more congested side.  On
@@ -23,7 +23,7 @@ every byte moved here lands under the task attempt that moved it.
 
 from __future__ import annotations
 
-from ..net import TrafficClass, transfer_on
+from ..net import TrafficClass
 from ..storage.integrity import IntegrityError
 
 __all__ = ["ship"]
@@ -43,22 +43,16 @@ def ship(
         return 0.0
     env = src.env
     start = env.now
-    fabric = getattr(src, "fabric", None)
-    if (
-        fabric is not None
-        and getattr(dst, "fabric", None) is fabric
-        and getattr(src, "node", None) is not None
-        and getattr(dst, "node", None) is not None
-    ):
-        flow = fabric.transfer(nbytes, src=src.node, dst=dst.node, cls=cls)
+    if src.fabric is dst.fabric and src.node is not None and dst.node is not None:
+        flow = src.fabric.transfer(nbytes, src=src.node, dst=dst.node, cls=cls)
         try:
             yield flow
         except BaseException:
             flow.cancel()
             raise
     else:
-        a = transfer_on(src, nbytes, cls=cls)
-        b = transfer_on(dst, nbytes, cls=cls)
+        a = src.transfer(nbytes, cls=cls)
+        b = dst.transfer(nbytes, cls=cls)
         try:
             yield a & b
         except BaseException:

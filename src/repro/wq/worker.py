@@ -141,7 +141,7 @@ class Worker:
             except Interrupt:
                 get.cancel()
                 if get.triggered and get.ok:
-                    master.requeue(get.value)
+                    master.requeue(get.value, reason=self._loss_reason())
                 return
             if get not in outcome:
                 get.cancel()
@@ -182,7 +182,9 @@ class Worker:
         try:
             result = yield from self._execute(task, started)
         except Interrupt:
-            master.requeue(task, lost_after=self.env.now - started)
+            master.requeue(
+                task, lost_after=self.env.now - started, reason=self._loss_reason()
+            )
             return
         except Exception as exc:
             # The runner crashed: re-queue the task (real Work Queue
@@ -206,6 +208,11 @@ class Worker:
             return
         self.tasks_done += 1
         master.task_finished(result, host=self.machine.name)
+
+    def _loss_reason(self) -> str:
+        """Why an interrupted task was lost: a co-runner's crash took the
+        worker down, or the glide-in was evicted."""
+        return "worker-crash" if self._crash is not None else "eviction"
 
     def _shutdown(self, exclude=None) -> None:
         """Stop the dispatcher and every other runner (worker crash)."""

@@ -1,45 +1,60 @@
-"""Tests for the max-min fair-share bandwidth link."""
+"""Max-min fair bandwidth sharing on a single fabric link.
+
+A standalone :class:`~repro.net.Link` is the simulator's plain
+fair-share link (disks, point resources, private flat fabrics); these
+closed-form cases pin its single-link dynamics and the one-link case of
+the :func:`~repro.net.waterfill` allocator.
+"""
 
 import pytest
 
-from repro.desim import Environment, FairShareLink, TransferCancelled
-from repro.desim.bandwidth import allocate_max_min
+from repro.desim import Environment
+from repro.net import Fabric, TransferCancelled, waterfill
+
+
+def allocate(demands, capacity):
+    """Max-min rates for *demands* (``None`` = uncapped) on one link."""
+    return waterfill({"l": capacity}, [("l",)] * len(demands), demands)
+
+
+def flat_link(env, capacity):
+    return Fabric(env).attach("l", capacity)
 
 
 # ------------------------------------------------------------ allocation
 def test_allocate_equal_split_uncapped():
-    assert allocate_max_min([None, None], 100.0) == [50.0, 50.0]
+    assert allocate([None, None], 100.0) == [50.0, 50.0]
 
 
 def test_allocate_empty():
-    assert allocate_max_min([], 100.0) == []
+    assert allocate([], 100.0) == []
 
 
 def test_allocate_capped_flow_releases_spare():
-    rates = allocate_max_min([10.0, None], 100.0)
+    rates = allocate([10.0, None], 100.0)
     assert rates == [10.0, 90.0]
 
 
 def test_allocate_all_capped_below_capacity():
-    rates = allocate_max_min([10.0, 20.0], 100.0)
+    rates = allocate([10.0, 20.0], 100.0)
     assert rates == [10.0, 20.0]
 
 
 def test_allocate_three_way_waterfill():
     # cap 30 flow limited; other two split remaining 90 equally.
-    rates = allocate_max_min([30.0, None, None], 120.0)
+    rates = allocate([30.0, None, None], 120.0)
     assert rates == [30.0, 45.0, 45.0]
 
 
 def test_allocate_never_exceeds_capacity():
-    rates = allocate_max_min([None] * 7, 100.0)
+    rates = allocate([None] * 7, 100.0)
     assert sum(rates) == pytest.approx(100.0)
 
 
 # ------------------------------------------------------------ link behaviour
 def test_single_transfer_duration():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = flat_link(env, 100.0)
     done = []
 
     def proc(env):
@@ -53,7 +68,7 @@ def test_single_transfer_duration():
 
 def test_zero_byte_transfer_completes_immediately():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = flat_link(env, 100.0)
     done = []
 
     def proc(env):
@@ -67,7 +82,7 @@ def test_zero_byte_transfer_completes_immediately():
 
 def test_two_transfers_share_bandwidth():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = flat_link(env, 100.0)
     done = {}
 
     def proc(env, tag, nbytes):
@@ -84,7 +99,7 @@ def test_two_transfers_share_bandwidth():
 
 def test_late_joiner_slows_existing_flow():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = flat_link(env, 100.0)
     done = {}
 
     def early(env):
@@ -109,7 +124,7 @@ def test_late_joiner_slows_existing_flow():
 
 def test_max_rate_caps_flow():
     env = Environment()
-    link = FairShareLink(env, capacity=1000.0)
+    link = flat_link(env, 1000.0)
     done = []
 
     def proc(env):
@@ -123,7 +138,7 @@ def test_max_rate_caps_flow():
 
 def test_cancel_mid_transfer():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = flat_link(env, 100.0)
     outcome = []
 
     def proc(env):
@@ -147,7 +162,7 @@ def test_cancel_mid_transfer():
 
 def test_cancel_frees_bandwidth_for_others():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = flat_link(env, 100.0)
     done = {}
 
     def victim(env):
@@ -178,7 +193,7 @@ def test_cancel_frees_bandwidth_for_others():
 
 def test_outage_stalls_transfers():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = flat_link(env, 100.0)
     done = []
 
     def proc(env):
@@ -200,7 +215,7 @@ def test_outage_stalls_transfers():
 
 def test_bytes_moved_accounting():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = flat_link(env, 100.0)
 
     def proc(env):
         yield link.transfer(500.0)
@@ -213,7 +228,7 @@ def test_bytes_moved_accounting():
 
 def test_many_concurrent_flows_complete():
     env = Environment()
-    link = FairShareLink(env, capacity=1000.0)
+    link = flat_link(env, 1000.0)
     done = []
 
     def proc(env, nbytes):
@@ -229,17 +244,9 @@ def test_many_concurrent_flows_complete():
     assert max(done) == pytest.approx(127.5)
 
 
-def test_estimate_duration():
-    env = Environment()
-    link = FairShareLink(env, capacity=100.0)
-    assert link.estimate_duration(100.0) == pytest.approx(1.0)
-    link.transfer(1e9)
-    assert link.estimate_duration(100.0) == pytest.approx(2.0)
-
-
 def test_negative_bytes_rejected():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = flat_link(env, 100.0)
     with pytest.raises(ValueError):
         link.transfer(-1.0)
     with pytest.raises(ValueError):

@@ -168,3 +168,58 @@ def test_lobster_config_enables_fast_abort():
     assert run.master.fast_abort_multiplier == 4.0
     with pytest.raises(ValueError):
         LobsterConfig(workflows=cfg.workflows, fast_abort_multiplier=1.0)
+
+
+def test_requeues_are_counted_by_reason():
+    """A fast-aborted straggler and a crashed runner requeue under their
+    own reasons; neither is counted as an eviction."""
+    from repro.monitor import requeue_summary
+
+    env = Environment()
+    master = Master(env)
+    master.enable_fast_abort(multiplier=3.0, check_interval=30.0, min_samples=5)
+    crashed = []
+
+    def executor(worker, task):
+        if task.task_id == crash_id and not crashed:
+            crashed.append(worker.name)
+            yield worker.env.timeout(5.0)
+            raise RuntimeError("executor bug")
+        slow = worker.name == "w1" and task.task_id == straggler_id
+        yield worker.env.timeout(10_000.0 if slow else 100.0)
+        return ExitCode.SUCCESS, {"cpu": 100.0}, None
+
+    tasks = [Task(executor) for _ in range(13)]
+    crash_id, straggler_id = tasks[0].task_id, tasks[-1].task_id
+    for task in tasks:
+        master.submit(task)
+
+    def supervised(env, worker):
+        try:
+            yield env.process(worker.run())
+        except RuntimeError:
+            pass  # the batch system records the crashed glide-in
+
+    for i in range(3):
+        worker = Worker(
+            env, Machine(env, f"m{i}", cores=2), master, cores=2,
+            connect_latency=0.0, name=f"w{i}",
+        )
+        env.process(supervised(env, worker))
+    results = []
+
+    def collector(env):
+        for _ in range(13):
+            results.append((yield master.wait()))
+        master.drain()
+
+    env.process(collector(env))
+    env.run(until=50 * HOUR)
+    assert len(results) == 13 and all(r.succeeded for r in results)
+    # The crash also takes down the co-runner on the same 2-core worker;
+    # that loss is the crash's too, not an eviction.
+    by_reason = master.requeues_by_reason
+    assert set(by_reason) == {"worker-crash", "fast-abort"}
+    assert by_reason["worker-crash"] == 2
+    assert sum(by_reason.values()) == master.tasks_requeued
+    assert "eviction" not in requeue_summary(master)

@@ -284,6 +284,55 @@ def test_render_report_end_to_end():
     assert "frontier hit rate" in text
 
 
+def test_render_report_breaks_requeues_down_by_reason():
+    """Fast-aborts and worker crashes are reported under their own
+    reason, never as evictions."""
+    from repro.analysis import simulation_code
+    from repro.batch import CondorPool, GlideinRequest, MachinePool
+    from repro.core import LobsterConfig, LobsterRun, Services, WorkflowConfig
+    from repro.desim import Environment
+    from repro.distributions import NoEviction
+    from repro.monitor import render_report
+    from repro.wq import Task
+
+    env = Environment()
+    services = Services.default(env)
+    cfg = LobsterConfig(
+        workflows=[
+            WorkflowConfig(
+                label="mc",
+                code=simulation_code(intrinsic_failure_rate=0.0),
+                n_events=4_000,
+                events_per_tasklet=500,
+                tasklets_per_task=4,
+            )
+        ],
+        cores_per_worker=4,
+        bad_machine_rate=0.0,
+    )
+    run = LobsterRun(env, cfg, services)
+    run.start()
+    machines = MachinePool.homogeneous(env, 2, cores=4)
+    pool = CondorPool(env, machines, eviction=NoEviction(), seed=1)
+    pool.submit(GlideinRequest(n_workers=2, cores_per_worker=4), run.worker_payload)
+    env.run(until=run.process)
+    pool.drain()
+    assert run.master.tasks_requeued == 0
+
+    def noop(worker, task):
+        yield worker.env.timeout(1.0)
+
+    master = run.master
+    master.requeue(Task(noop), lost_after=10.0, reason="fast-abort")
+    master.requeue(Task(noop), lost_after=10.0, reason="fast-abort")
+    master.requeue(Task(noop), lost_after=10.0, reason="worker-crash")
+    assert master.requeues_by_reason == {"fast-abort": 2, "worker-crash": 1}
+
+    text = render_report(run)
+    assert "3 requeued (fast-abort 2, worker-crash 1)" in text
+    assert "eviction" not in text
+
+
 # ---------------------------------------------------------------- §7 context
 def test_contextualize_paper_scale():
     from repro.monitor import contextualize
@@ -381,46 +430,3 @@ def test_export_empty_run(tmp_path):
 
     with open(paths["timeline"]) as fh:
         assert list(csv.DictReader(fh)) == []
-
-
-# ---------------------------------------------------------------- samplers
-def test_link_sampler_records_series():
-    from repro.desim import Environment, FairShareLink
-    from repro.monitor import sample_links
-
-    env = Environment()
-    link = FairShareLink(env, capacity=100.0)
-    sampler = sample_links(env, {"wan": link}, interval=10.0)
-
-    def traffic(env):
-        yield link.transfer(500.0)  # 5 s at 100 B/s
-        yield env.timeout(30.0)
-        yield link.transfer(1000.0)  # 10 s
-
-    env.process(traffic(env))
-    env.run(until=60.0)
-    sampler.stop()
-    flows = sampler.series["wan.flows"]
-    thr = sampler.series["wan.throughput"]
-    assert len(flows) >= 5
-    # Throughput over the first 10 s window: 500 B moved → 50 B/s.
-    assert thr.values[0] == pytest.approx(50.0)
-    # Total bytes monotone non-decreasing.
-    b = sampler.series["wan.bytes"].values
-    assert all(x <= y for x, y in zip(b, b[1:]))
-
-
-def test_link_sampler_validation():
-    from repro.desim import Environment
-    from repro.monitor import LinkSampler
-
-    env = Environment()
-    with pytest.raises(ValueError):
-        LinkSampler(env, interval=0)
-    sampler = LinkSampler(env, interval=5.0)
-    sampler.add_probe("x", lambda: 1.0)
-    with pytest.raises(ValueError):
-        sampler.add_probe("x", lambda: 2.0)
-    sampler.start()
-    with pytest.raises(RuntimeError):
-        sampler.start()

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core import Services
-from repro.desim import Environment, FairShareLink, Topics, TransferCancelled
+from repro.desim import Environment, Topics
 from repro.monitor import BusCollector
 from repro.net import (
     Fabric,
     LinkDown,
     TopologySpec,
     TrafficClass,
+    TransferCancelled,
     rack_for,
-    transfer_on,
     waterfill,
 )
 from repro.storage.wan import OutageWindow, WideAreaNetwork
@@ -64,9 +64,9 @@ def test_waterfill_asymmetric_bottlenecks():
 
 # ---------------------------------------------------------------- single link
 def test_single_link_matches_fair_share_link():
-    """A one-link fabric reproduces FairShareLink dynamics exactly."""
+    """A one-link fabric gives the closed-form fair-share split: two
+    100 B flows on a 100 B/s link each run at 50 B/s and land at t=2."""
     env = Environment()
-    reference = FairShareLink(env, 100.0)
     fabric = Fabric(env)
     link = fabric.attach("l", 100.0)
 
@@ -76,14 +76,11 @@ def test_single_link_matches_fair_share_link():
         yield transfer
         times[key] = env.now
 
-    env.process(timed(env, "ref_a", reference.transfer(100.0)))
-    env.process(timed(env, "ref_b", reference.transfer(100.0)))
-    env.process(timed(env, "fab_a", link.transfer(100.0)))
-    env.process(timed(env, "fab_b", link.transfer(100.0)))
+    env.process(timed(env, "a", link.transfer(100.0)))
+    env.process(timed(env, "b", link.transfer(100.0)))
     env.run()
-    assert times["ref_a"] == pytest.approx(2.0)
-    assert times["fab_a"] == pytest.approx(times["ref_a"])
-    assert times["fab_b"] == pytest.approx(times["ref_b"])
+    assert times["a"] == pytest.approx(2.0)
+    assert times["b"] == pytest.approx(2.0)
     assert link.bytes_moved == pytest.approx(200.0)
 
 
@@ -277,40 +274,39 @@ def test_capacity_restored_after_outage():
 
 
 # ------------------------------------------------- satellite regression fixes
-def test_utilization_window_resets():
-    """Satellite: utilization is windowed and resettable (both links)."""
+def test_utilization_is_mean_over_link_lifetime():
+    """Utilization is bytes moved over capacity × time since creation."""
     env = Environment()
-    fair = FairShareLink(env, 100.0)
     fabric = Fabric(env)
     link = fabric.attach("l", 100.0)
-    fair.transfer(100.0)
     link.transfer(100.0)
     env.run(until=2.0)
-    assert fair.utilization() == pytest.approx(0.5)
+    # 100 B in 2 s on a 100 B/s link.
     assert link.utilization() == pytest.approx(0.5)
-    fair.reset_utilization_window()
-    link.reset_utilization_window()
     env.run(until=4.0)
-    # Nothing moved in the new window.
-    assert fair.utilization() == 0.0
-    assert link.utilization() == 0.0
+    # Nothing moved since: the same 100 B now spread over 4 s.
+    assert link.utilization() == pytest.approx(0.25)
 
 
-def test_estimate_duration_honours_existing_caps():
-    """Satellite: estimates respect live flows' max_rate caps."""
+def test_newcomer_rate_honours_existing_caps():
+    """A capped flow leaves its spare capacity to a newcomer (90 B/s,
+    not a naive 50), and the newcomer's own cap binds when tighter."""
     env = Environment()
-    fair = FairShareLink(env, 100.0)
-    fair.transfer(1e9, max_rate=10.0)
     fabric = Fabric(env)
     link = fabric.attach("l", 100.0)
     link.transfer(1e9, max_rate=10.0)
-    env.run(until=1.0)
-    # The capped flow leaves 90 B/s for a newcomer, not a naive 50.
-    assert fair.estimate_duration(90.0) == pytest.approx(1.0)
-    assert link.estimate_duration(90.0) == pytest.approx(1.0)
-    # And the newcomer's own cap binds when it is tighter.
-    assert fair.estimate_duration(90.0, max_rate=9.0) == pytest.approx(10.0)
-    assert link.estimate_duration(90.0, max_rate=9.0) == pytest.approx(10.0)
+    times = []
+
+    def newcomers(env):
+        yield env.timeout(1.0)
+        yield link.transfer(90.0)
+        times.append(env.now)
+        yield link.transfer(90.0, max_rate=9.0)
+        times.append(env.now)
+
+    env.process(newcomers(env))
+    env.run(until=20.0)
+    assert times == [pytest.approx(2.0), pytest.approx(12.0)]
 
 
 def test_zero_byte_wan_transfer_publishes_nothing():
@@ -344,25 +340,29 @@ def test_ship_uses_one_end_to_end_flow_on_shared_fabric():
 
 
 def test_ship_legacy_pair_of_flat_links():
+    """Two NICs on different fabrics: the hop occupies both links
+    concurrently and takes as long as the slower one."""
     env = Environment()
-    a = FairShareLink(env, 10.0)
-    b = FairShareLink(env, 40.0)
+    a = Fabric(env).attach("a.nic", 10.0, node="a")
+    b = Fabric(env).attach("b.nic", 40.0, node="b")
     done = drive(env, ship(a, b, 100.0))
     env.run()
     assert "error" not in done
     assert env.now == pytest.approx(10.0)
+    assert a.bytes_by_class[TrafficClass.STAGING] == pytest.approx(100.0)
+    assert b.bytes_by_class[TrafficClass.STAGING] == pytest.approx(100.0)
 
 
-def test_transfer_on_dispatches_by_link_type():
+def test_link_transfer_tags_traffic_class():
     env = Environment()
-    fair = FairShareLink(env, 100.0)
-    fabric = Fabric(env)
-    link = fabric.attach("l", 100.0)
-    transfer_on(fair, 50.0, cls=TrafficClass.STAGING)
-    transfer_on(link, 50.0, cls=TrafficClass.STAGING)
+    link = Fabric(env).attach("l", 100.0)
+    link.transfer(50.0, cls=TrafficClass.STAGING)
+    link.transfer(30.0)
     env.run()
-    assert fair.bytes_moved == pytest.approx(50.0)
-    assert link.bytes_by_class[TrafficClass.STAGING] == pytest.approx(50.0)
+    assert env.now == pytest.approx(0.8)
+    assert link.bytes_by_class == pytest.approx(
+        {TrafficClass.STAGING: 50.0, TrafficClass.DEFAULT: 30.0}
+    )
 
 
 # ---------------------------------------------------------------- services

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import TaskletState, TaskletStore, plan_groups
 from repro.core.tasksize import TaskSizeConfig, TaskSizeSimulator
-from repro.desim import Environment, FairShareLink
-from repro.desim.bandwidth import allocate_max_min
+from repro.desim import Environment
 from repro.distributions import (
     ConstantHazardEviction,
     EmpiricalEviction,
@@ -16,8 +15,33 @@ from repro.distributions import (
     eviction_probability_curve,
 )
 from repro.monitor import TimeSeries
-from repro.net import waterfill
+from repro.net import Fabric, waterfill
 from repro.storage import StoredFile
+
+
+def allocate_max_min(demands, capacity):
+    """Reference single-link max-min allocation (test-only oracle).
+
+    Serves capped flows in increasing cap order; each takes
+    min(cap, equal share of what remains).  ``None`` = uncapped."""
+    n = len(demands)
+    rates = [0.0] * n
+    remaining = capacity
+    order = sorted(range(n), key=lambda i: float("inf") if demands[i] is None else demands[i])
+    left = n
+    for i in order:
+        share = remaining / left
+        cap = demands[i]
+        rate = share if cap is None else min(cap, share)
+        rates[i] = rate
+        remaining -= rate
+        left -= 1
+    return rates
+
+
+def one_link(demands, capacity):
+    """The fabric allocator's rates for *demands* sharing one link."""
+    return waterfill({0: capacity}, [(0,)] * len(demands), demands)
 
 
 # ------------------------------------------------------------ max-min fairness
@@ -26,7 +50,7 @@ caps = st.one_of(st.none(), st.floats(min_value=0.01, max_value=1e6))
 
 @given(demands=st.lists(caps, max_size=30), capacity=st.floats(min_value=0.1, max_value=1e9))
 def test_allocation_never_exceeds_capacity(demands, capacity):
-    rates = allocate_max_min(demands, capacity)
+    rates = one_link(demands, capacity)
     assert len(rates) == len(demands)
     assert sum(rates) <= capacity * (1 + 1e-9)
     for rate, cap in zip(rates, demands):
@@ -42,7 +66,7 @@ def test_allocation_never_exceeds_capacity(demands, capacity):
 def test_allocation_work_conserving(demands, capacity):
     """If total demand exceeds capacity, every drop of capacity is used;
     otherwise every flow gets its full demand."""
-    rates = allocate_max_min(list(demands), capacity)
+    rates = one_link(list(demands), capacity)
     if sum(demands) <= capacity:
         assert rates == pytest.approx(list(demands))
     else:
@@ -51,7 +75,7 @@ def test_allocation_work_conserving(demands, capacity):
 
 @given(n=st.integers(min_value=1, max_value=50), capacity=st.floats(min_value=1, max_value=1e6))
 def test_allocation_uncapped_flows_get_equal_share(n, capacity):
-    rates = allocate_max_min([None] * n, capacity)
+    rates = one_link([None] * n, capacity)
     assert all(r == pytest.approx(capacity / n) for r in rates)
 
 
@@ -123,8 +147,8 @@ def test_waterfill_is_max_min_fair(problem):
 )
 def test_waterfill_single_link_matches_allocate_max_min(capacity, max_rates):
     """On one shared link the multi-link allocator reduces exactly to the
-    FairShareLink's single-link max-min allocation."""
-    rates = waterfill({0: capacity}, [(0,)] * len(max_rates), max_rates)
+    classic single-link max-min allocation."""
+    rates = one_link(max_rates, capacity)
     reference = allocate_max_min(max_rates, capacity)
     assert rates == pytest.approx(reference, rel=1e-9, abs=1e-12)
 
@@ -137,7 +161,7 @@ def test_waterfill_single_link_matches_allocate_max_min(capacity, max_rates):
 def test_fair_share_link_conserves_bytes(sizes, capacity):
     """Every transfer completes and the link moves exactly the bytes offered."""
     env = Environment()
-    link = FairShareLink(env, capacity)
+    link = Fabric(env).attach("l", capacity)
     done = []
 
     def proc(env, nbytes):

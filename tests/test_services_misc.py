@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import Services
 from repro.dbs import DBS, synthetic_dataset
-from repro.desim import Environment, FairShareLink
+from repro.desim import Environment
+from repro.net import Fabric
 from repro.storage import OutageWindow, WideAreaNetwork
 
 MB = 1_000_000.0
@@ -64,7 +65,7 @@ def test_wan_current_outage():
 # ---------------------------------------------------------------- link misc
 def test_link_utilization_tracks_busy_fraction():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = Fabric(env).attach("l", 100.0)
 
     def proc(env):
         yield link.transfer(500.0)  # busy 5 s at full rate
@@ -77,7 +78,7 @@ def test_link_utilization_tracks_busy_fraction():
 
 def test_link_utilization_empty():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = Fabric(env).attach("l", 100.0)
     assert link.utilization() == 0.0
 
 
