@@ -7,6 +7,8 @@ recompute per flow event.  Two guards enforce it:
 * a machine-independent recompute count: 1000 three-hop flows started
   in batched waves must trigger a number of allocation flushes on the
   order of the number of distinct timestamps, not the number of flows;
+* a machine-independent problem size: those 1000 flows share 100
+  routes, so no water-fill may be handed more than 100 route classes;
 * a wall-time gate against the checked-in baseline in
   ``benchmarks/out/net_allocator_baseline.txt`` with a generous
   tolerance (CI machines vary; the gate catches complexity blow-ups,
@@ -19,6 +21,7 @@ the CI artifact upload.
 import os
 import time
 
+import repro.net.fabric as fabric_module
 from repro.desim import Environment
 from repro.net import Fabric, waterfill
 
@@ -137,6 +140,21 @@ def test_allocator_perf_against_baseline():
         f"fabric churn took {churn_ms:.2f} ms, baseline "
         f"{baseline['fabric_churn_1k_ms']:.2f} ms (x{TOLERANCE} allowed)"
     )
+
+
+def test_waterfill_sees_route_classes_not_flows(monkeypatch):
+    """Each machine's 10 flows share one route, so every water-fill the
+    churn runs covers at most 100 route classes, however many flows."""
+    sizes = []
+
+    def counting(capacities, routes, *args, **kwargs):
+        sizes.append(len(routes))
+        return waterfill(capacities, routes, *args, **kwargs)
+
+    monkeypatch.setattr(fabric_module, "waterfill", counting)
+    churn_fabric()
+    assert sizes, "the churn ran no water-fill"
+    assert max(sizes) <= N_MACHINES, f"a water-fill got {max(sizes)} entries"
 
 
 def test_allocator_waterfill_benchmark(benchmark):

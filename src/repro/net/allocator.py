@@ -11,74 +11,94 @@ with an equal or smaller rate.
 :func:`waterfill` is a pure function over hashable link keys so it can
 be property-tested in isolation; :class:`~repro.net.fabric.Fabric` calls
 it with live :class:`~repro.net.fabric.Link` objects restricted to the
-connected component of links actually touched by a change.
+connected component of links actually touched by a change, one weighted
+route per route class (flows sharing route, cap and traffic class).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence
 
-__all__ = ["waterfill"]
+__all__ = ["Allocation", "waterfill"]
 
 _REL_EPS = 1e-12
+
+
+class Allocation(list):
+    """The rates :func:`waterfill` returns, one per route, plus the
+    number of filling rounds it took."""
+
+    rounds = 0
 
 
 def waterfill(
     capacities: Dict[Hashable, float],
     routes: Sequence[Sequence[Hashable]],
     max_rates: Optional[Sequence[Optional[float]]] = None,
-) -> List[float]:
+    weights: Optional[Sequence[int]] = None,
+) -> Allocation:
     """Max-min fair rates for *routes* over shared *capacities*.
 
     *capacities* maps link keys to capacity (bytes/second).  Each route
     is a sequence of link keys the flow crosses (duplicates are
     collapsed); *max_rates* holds each flow's own rate cap (``None`` =
     uncapped).  A flow crossing no known link is unconstrained and gets
-    its cap (or ``inf``).  Returns one rate per route.
+    its cap (or ``inf``).  *weights* makes route ``i`` stand for
+    ``weights[i]`` identical flows (default 1 each), which max-min
+    fairness always gives one common rate; the result equals the plain
+    call on the problem expanded to one route per flow.  Returns one
+    per-flow rate per route.
     """
     n = len(routes)
-    rates = [0.0] * n
+    rates = Allocation([0.0] * n)
     if n == 0:
         return rates
     caps: List[Optional[float]] = (
         list(max_rates) if max_rates is not None else [None] * n
     )
-    if len(caps) != n:
-        raise ValueError("max_rates length must match routes")
+    ws: Sequence[int] = weights if weights is not None else [1] * n
+    if len(caps) != n or len(ws) != n:
+        raise ValueError("max_rates and weights must match routes in length")
 
     remaining: Dict[Hashable, float] = {}
     flows_on: Dict[Hashable, List[int]] = {}
     links_of: List[List[Hashable]] = []
+    active: Dict[int, None] = {}
     for i, route in enumerate(routes):
         ls: List[Hashable] = []
         for link in route:
-            if link not in capacities:
-                continue
-            if link not in remaining:
-                remaining[link] = float(capacities[link])
-                flows_on[link] = []
-            if link in ls:  # a route never usefully crosses a link twice
+            # a route never usefully crosses a link twice
+            if link in ls or link not in capacities:
                 continue
             ls.append(link)
-            flows_on[link].append(i)
+            if link in flows_on:
+                flows_on[link].append(i)
+            else:
+                remaining[link] = float(capacities[link])
+                flows_on[link] = [i]
         links_of.append(ls)
-
-    count = {link: len(flows) for link, flows in flows_on.items()}
-    active: Dict[int, None] = {}
-    for i in range(n):
-        if links_of[i]:
+        if ls:
             active[i] = None
         else:
             rates[i] = float("inf") if caps[i] is None else max(0.0, float(caps[i]))
+    #: Sum of the weights of the still-unfrozen routes crossing a link.
+    count = {
+        link: len(fl) if weights is None else sum(ws[i] for i in fl)
+        for link, fl in flows_on.items()
+    }
 
     def freeze(i: int, rate: float) -> None:
         rates[i] = rate
+        w = ws[i]
+        used = rate * w
         for link in links_of[i]:
-            remaining[link] = max(0.0, remaining[link] - rate)
-            count[link] -= 1
+            remaining[link] = max(0.0, remaining[link] - used)
+            count[link] -= w
         del active[i]
 
+    rounds = 0
     while active:
+        rounds += 1
         share = None
         for link, c in count.items():
             if c > 0:
@@ -110,4 +130,5 @@ def waterfill(
             for i in list(active):
                 freeze(i, share)
             break
+    rates.rounds = rounds
     return rates

@@ -164,20 +164,18 @@ def test_cancel_frees_bandwidth_for_others():
     env = Environment()
     link = flat_link(env, 100.0)
     done = {}
+    flows = {}
 
     def victim(env):
-        t = link.transfer(10000.0)
+        flows["victim"] = link.transfer(10000.0)
         try:
-            yield t
+            yield flows["victim"]
         except TransferCancelled:
             done["victim"] = env.now
 
     def killer(env, victim_proc):
         yield env.timeout(10)
-        # Find the victim's transfer and cancel it.
-        for f in list(link._flows):
-            if f.nbytes == 10000.0:
-                f.cancel()
+        flows["victim"].cancel()
 
     def survivor(env):
         yield link.transfer(1000.0)

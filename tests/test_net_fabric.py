@@ -470,3 +470,54 @@ def test_duplicate_names_rejected():
         fabric.attach("l3", 10.0, node="n2", parent="missing")
     with pytest.raises(ValueError):
         fabric.transfer(10.0)  # neither route nor endpoints
+
+
+def test_stats_count_route_classes_not_flows():
+    env = Environment()
+    fabric = Fabric(env)
+    fabric.attach("wan", 100.0, node="world")
+    for i in range(3):
+        fabric.attach(f"nic{i}", 50.0, node=f"m{i}")
+    for i in range(3):
+        for size in (10.0, 20.0, 30.0, 40.0):
+            fabric.transfer(size, src=f"m{i}", dst="world")
+    env.run()
+    stats = fabric.stats()
+    assert stats["peak_flows"] == 12
+    assert stats["peak_classes"] == 3
+    assert stats["component_classes_max"] == 3
+    assert stats["component_links_max"] == 4
+    # One join flush, then one flush per distinct finish time.
+    assert stats["flushes"] == 5
+    assert stats["waterfills"] == 4
+    assert stats["waterfill_rounds"] >= stats["waterfills"]
+    assert all(isinstance(v, int) for v in stats.values())
+
+
+def test_stats_repeat_and_leave_the_recording_unchanged(tmp_path):
+    """Same seed, same ``stats()``; reading them throughout a run changes
+    no byte of its event recording."""
+    from repro.monitor import JsonlSink
+    from repro.scenarios import execute_prepared, prepare_quickstart
+    from repro.testing import reset_id_counters
+
+    def run(path, poll):
+        reset_id_counters()
+        env = Environment()
+        sink = JsonlSink(str(path))
+        env.bus.attach(sink)
+        prepared = prepare_quickstart(events=20_000, workers=6, seed=2, env=env)
+        fabric = prepared.services.fabric
+        seen = []
+        if poll:
+            env.bus.subscribe(Topics.NET_FLOW, lambda rec: seen.append(fabric.stats()), raw=True)
+        execute_prepared(prepared, settle=60.0)
+        sink.close()
+        return fabric.stats(), seen
+
+    stats_a, seen = run(tmp_path / "a.jsonl", poll=True)
+    stats_b, _ = run(tmp_path / "b.jsonl", poll=False)
+    assert stats_a == stats_b
+    assert stats_a["flushes"] > 0 and stats_a["waterfills"] > 0
+    assert seen and [s["flushes"] for s in seen] == sorted(s["flushes"] for s in seen)
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()

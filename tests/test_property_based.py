@@ -82,7 +82,8 @@ def test_allocation_uncapped_flows_get_equal_share(n, capacity):
 # ------------------------------------------------- multi-link water-filling
 @st.composite
 def waterfill_problems(draw):
-    """A random tree-free allocation problem: links, routes, rate caps."""
+    """A random tree-free allocation problem: links, routes, rate caps,
+    and either no weights or a weight of 1-8 flows per route."""
     n_links = draw(st.integers(min_value=1, max_value=6))
     caps = {
         i: draw(st.floats(min_value=0.1, max_value=1e6))
@@ -97,35 +98,46 @@ def waterfill_problems(draw):
         draw(st.one_of(st.none(), st.floats(min_value=0.01, max_value=1e5)))
         for _ in range(n_flows)
     ]
-    return caps, routes, max_rates
+    weights = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.integers(min_value=1, max_value=8), min_size=n_flows, max_size=n_flows),
+        )
+    )
+    return caps, routes, max_rates, weights
+
+
+def link_load(link, rates, routes, weights):
+    """Total rate the flows crossing *link* put on it."""
+    weights = weights if weights is not None else [1] * len(routes)
+    return sum(r * w for r, rt, w in zip(rates, routes, weights) if link in rt)
 
 
 @given(problem=waterfill_problems())
 def test_waterfill_conserves_capacity_and_caps(problem):
-    caps, routes, max_rates = problem
-    rates = waterfill(caps, routes, max_rates)
+    caps, routes, max_rates, weights = problem
+    rates = waterfill(caps, routes, max_rates, weights)
     assert len(rates) == len(routes)
     for rate, cap in zip(rates, max_rates):
         assert rate >= 0.0
         if cap is not None:
             assert rate <= cap * (1 + 1e-6)
     for link, capacity in caps.items():
-        load = sum(r for r, route in zip(rates, routes) if link in route)
-        assert load <= capacity * (1 + 1e-6)
+        assert link_load(link, rates, routes, weights) <= capacity * (1 + 1e-6)
 
 
 @given(problem=waterfill_problems())
 def test_waterfill_is_max_min_fair(problem):
     """Every flow is either at its own cap or bottlenecked: it crosses a
     saturated link where no sharing flow gets a strictly larger rate."""
-    caps, routes, max_rates = problem
-    rates = waterfill(caps, routes, max_rates)
+    caps, routes, max_rates, weights = problem
+    rates = waterfill(caps, routes, max_rates, weights)
     for i, (rate, route, cap) in enumerate(zip(rates, routes, max_rates)):
         if cap is not None and rate >= cap * (1 - 1e-6):
             continue  # pinned by its own cap
         bottlenecked = False
         for link in route:
-            load = sum(r for r, rt in zip(rates, routes) if link in rt)
+            load = link_load(link, rates, routes, weights)
             saturated = load >= caps[link] * (1 - 1e-6)
             biggest = max(
                 (r for r, rt in zip(rates, routes) if link in rt),
@@ -135,6 +147,18 @@ def test_waterfill_is_max_min_fair(problem):
                 bottlenecked = True
                 break
         assert bottlenecked, f"flow {i} is neither capped nor bottlenecked"
+
+
+@given(problem=waterfill_problems())
+def test_weighted_waterfill_matches_expanded_problem(problem):
+    """A route of weight w gets the rate each of w identical one-flow
+    routes gets when the problem is spelled out flow by flow."""
+    caps, routes, max_rates, weights = problem
+    weights = weights if weights is not None else [1] * len(routes)
+    rates = waterfill(caps, routes, max_rates, weights=weights)
+    expanded = [i for i, w in enumerate(weights) for _ in range(w)]
+    plain = waterfill(caps, [routes[i] for i in expanded], [max_rates[i] for i in expanded])
+    assert plain == pytest.approx([rates[i] for i in expanded], rel=1e-9)
 
 
 @given(
