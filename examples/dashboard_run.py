@@ -5,9 +5,9 @@ Two demonstrations in one script:
 
 1. **Dashboard render with exact parity.**  A small chaos run (bit-rot,
    truncated transfers, duplicate deliveries) executes with a
-   :class:`~repro.monitor.RollupCollector` and a
-   :class:`~repro.monitor.SpanTracer` attached to the same bus the
-   exact :class:`~repro.monitor.BusCollector` listens on.  The
+   :class:`~repro.monitor.Rollup` tapped onto the same bus the run's
+   exact :class:`~repro.monitor.RunMetrics` fold listens on, and a
+   :class:`~repro.monitor.SpanTracer` attached.  The
    streaming rollup is verified bit-for-bit against the exact
    ``RunMetrics`` reduction (``verify_parity`` must return no
    mismatches), then rendered into a single static HTML dashboard at
@@ -30,7 +30,7 @@ Two demonstrations in one script:
 import os
 
 from repro.desim import Environment
-from repro.monitor import RollupCollector, SpanTracer, verify_parity, write_dashboard
+from repro.monitor import Rollup, SpanTracer, tap, verify_parity, write_dashboard
 from repro.scenarios import (
     execute_prepared,
     prepare_chaos,
@@ -44,7 +44,8 @@ def render_chaos_dashboard() -> str:
     """Run a faulty data run, verify parity, render the dashboard."""
     env = Environment()
     tracer = SpanTracer(env)
-    collector = RollupCollector(env.bus)
+    rollup = Rollup()
+    tap(env.bus, [rollup])
     prepared = prepare_chaos(
         files=30,
         machines=8,
@@ -58,7 +59,6 @@ def render_chaos_dashboard() -> str:
     execute_prepared(prepared, settle=300.0)
     tracer.finalize()
 
-    rollup = collector.rollup
     metrics = prepared.run.metrics
     problems = verify_parity(rollup, metrics)
     for p in problems:
@@ -91,12 +91,12 @@ def render_chaos_dashboard() -> str:
 def measure_density(events: int, workers: int) -> tuple:
     """Run quickstart at a given density; return (events_seen, cells)."""
     env = Environment()
-    collector = RollupCollector(env.bus)
+    rollup = Rollup()
+    tap(env.bus, [rollup])
     prepared = prepare_quickstart(
         events=events, workers=workers, seed=3, env=env
     )
     execute_prepared(prepared, settle=300.0)
-    rollup = collector.rollup
     return rollup.events_seen, rollup.retained_cells()
 
 

@@ -23,7 +23,7 @@ from collections import Counter
 from repro.batch import MachinePool
 from repro.core import Services
 from repro.desim import Environment, Topics
-from repro.monitor import BusCollector
+from repro.monitor import RunMetrics, tap
 from repro.monitor.report import ascii_bar, ascii_timeline
 from repro.net import TrafficClass, TransferCancelled
 from repro.storage.wan import OutageWindow
@@ -38,7 +38,8 @@ OUTAGE = OutageWindow(3600.0, 4200.0)
 
 def main() -> None:
     env = Environment()
-    collector = BusCollector(env.bus)
+    metrics = RunMetrics()
+    tap(env.bus, [metrics])
     failures = Counter()
     env.bus.subscribe(
         Topics.NET_FLOW_FAIL, lambda ev: failures.update([ev.fields["cls"]])
@@ -122,7 +123,7 @@ def main() -> None:
     except TransferCancelled:  # pragma: no cover - nothing should leak
         raise
 
-    m = collector.metrics
+    m = metrics
     print("=" * 64)
     print("NETWORK FABRIC CONTENTION (paper Fig 10 conditions)")
     print("=" * 64)

@@ -15,8 +15,8 @@ Three demonstrations in one script, each with a greppable gate line:
    tracer's finished spans.  CI greps ``WATCH CHAOS OK``.
 
 3. **Live ≡ replay, byte for byte.**  The recorded event stream of the
-   chaos run is replayed through :func:`~repro.monitor.alerts_from_events`
-   and must serialise to exactly the bytes the live engine emitted.
+   chaos run is replayed (:func:`~repro.monitor.replay`) through a fresh
+   :class:`~repro.monitor.WatchEngine` and must serialise to exactly the bytes the live engine emitted.
    CI greps ``WATCH REPLAY OK``.
 
 Artifacts land in ``benchmarks/out/``: the alert stream as JSON and
@@ -31,10 +31,12 @@ import os
 from repro.desim import Environment
 from repro.desim.bus import MemorySink
 from repro.monitor import (
-    RollupCollector,
+    Rollup,
     RunWatcher,
     SpanTracer,
-    alerts_from_events,
+    WatchEngine,
+    replay,
+    tap,
     write_dashboard,
 )
 from repro.scenarios import execute_prepared, prepare_chaos, prepare_quickstart
@@ -69,7 +71,8 @@ def watch_chaos() -> list:
     sink = MemorySink()
     env.bus.attach(sink)
     tracer = SpanTracer(env)
-    collector = RollupCollector(env.bus)
+    rollup = Rollup()
+    tap(env.bus, [rollup])
     watcher = RunWatcher(env.bus)
     prepared = prepare_chaos(files=60, machines=12, cores=4, seed=5, env=env)
     execute_prepared(prepared, settle=300.0)
@@ -110,7 +113,7 @@ def watch_chaos() -> list:
     dash_path = os.path.join(OUT_DIR, "watch.html")
     write_dashboard(
         dash_path,
-        collector.rollup,
+        rollup,
         metrics=m,
         spans=list(tracer.spans),
         bus_stats=env.bus.stats(),
@@ -133,14 +136,15 @@ def watch_chaos() -> list:
 
 def replay_identity(events: list, live_engine) -> None:
     """The recorded stream must replay to the identical alert bytes."""
-    replay = alerts_from_events(events)
+    engine = WatchEngine()
+    replay(events, [engine])
     live_bytes = json.dumps(live_engine.alerts, sort_keys=True)
-    replay_bytes = json.dumps(replay.alerts, sort_keys=True)
+    replay_bytes = json.dumps(engine.alerts, sort_keys=True)
     assert live_bytes == replay_bytes, (
         "replayed alert stream diverged from the live run"
     )
     print(
-        f"WATCH REPLAY OK alerts={len(replay.alerts)} "
+        f"WATCH REPLAY OK alerts={len(engine.alerts)} "
         f"bytes={len(replay_bytes)}"
     )
 

@@ -281,11 +281,12 @@ def _finish(prepared, out, sink=None, dash_out=None) -> int:
     from repro.monitor import render_report
     from repro.scenarios import execute_prepared
 
-    collector = tracer = None
+    rollup = tracer = None
     if dash_out is not None:
-        from repro.monitor import RollupCollector, SpanTracer
+        from repro.monitor import Rollup, SpanTracer, tap
 
-        collector = RollupCollector(prepared.env.bus)
+        rollup = Rollup()
+        tap(prepared.env.bus, [rollup])
         tracer = SpanTracer(prepared.env)
     # The settle window lets workers and glide-ins exit cleanly instead
     # of being garbage-collected mid-yield.
@@ -294,14 +295,14 @@ def _finish(prepared, out, sink=None, dash_out=None) -> int:
     if sink is not None:
         sink.close()
         out.write(f"recorded {sink.count} events to {sink.path}\n")
-    if collector is not None:
+    if rollup is not None:
         from repro.monitor import write_dashboard
 
         tracer.finalize()
         labels = [wf.label for wf in prepared.run.config.workflows]
         write_dashboard(
             dash_out,
-            collector.rollup,
+            rollup,
             metrics=prepared.run.metrics,
             spans=list(tracer.spans),
             bus_stats=prepared.env.bus.stats(),
@@ -309,6 +310,69 @@ def _finish(prepared, out, sink=None, dash_out=None) -> int:
         )
         out.write(f"dashboard written to {dash_out}\n")
     return 0
+
+
+def _fold_stream(args, out, path, folds, live=None):
+    """Feed *folds* one event stream, recorded or live.
+
+    With *path*, the JSONL recording is loaded once and replayed through
+    the folds in one pass; the loaded event dicts are returned.
+    Otherwise a live run is built: the ``--events-out`` sink and a span
+    tracer attach first, the folds are tapped in argument order, and
+    ``live(env)`` builds and drives the run; None is returned.
+    """
+    if path is not None:
+        from repro.monitor import load_events, replay
+
+        try:
+            events = load_events(path)
+        except OSError as exc:
+            raise SystemExit(str(exc)) from None
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError
+            raise SystemExit(f"{path}: not a valid event stream ({exc})") from None
+        replay(events, folds)
+        return events
+
+    from repro.desim import Environment
+    from repro.monitor import SpanTracer, tap
+
+    env = Environment()
+    sink = _attach_events_sink(env, args)
+    tracer = SpanTracer(env)
+    tap(env.bus, folds)
+    live(env)
+    tracer.finalize()
+    if sink is not None:
+        sink.close()
+        out.write(f"recorded {sink.count} events to {sink.path}\n")
+    return None
+
+
+def _registry_scenario(args):
+    """Look up ``--scenario`` in the sweep registry; returns a
+    ``live(env)`` driver that builds it with the ``--param``
+    overrides (plus ``--seed``), and the seed it will run with."""
+    from repro.sweep import get_scenario, list_scenarios
+
+    try:
+        scenario = get_scenario(args.scenario)
+    except KeyError:
+        names = ", ".join(s.name for s in list_scenarios())
+        raise SystemExit(
+            f"unknown scenario {args.scenario!r} (available: {names})"
+        ) from None
+    if scenario.kind != "des":
+        raise SystemExit(f"scenario {args.scenario!r} is not a DES run scenario")
+    params = _parse_params(args.param)
+    params.setdefault("seed", args.seed)
+
+    def live(env) -> None:
+        try:
+            scenario.build(env, **params)
+        except TypeError as exc:
+            raise SystemExit(f"scenario {args.scenario!r}: {exc}") from None
+
+    return live, params["seed"]
 
 
 def cmd_quickstart(args, out) -> int:
@@ -533,15 +597,10 @@ def cmd_topology(args, out) -> int:
 def cmd_events(args, out) -> int:
     from collections import Counter
 
-    from repro.monitor import diagnose, load_events, metrics_from_events
+    from repro.monitor import RunMetrics, diagnose
 
-    try:
-        events = load_events(args.path)
-    except OSError as exc:
-        raise SystemExit(str(exc)) from None
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError
-        raise SystemExit(f"{args.path}: not a valid event stream ({exc})") from None
-    metrics = metrics_from_events(events)
+    metrics = RunMetrics()
+    events = _fold_stream(args, out, args.path, [metrics])
 
     out.write(f"{len(events)} events from {args.path}\n")
     counts = Counter(ev.get("topic", "?") for ev in events)
@@ -579,90 +638,39 @@ def cmd_trace(args, out) -> int:
 
     Live mode runs the quickstart scenario with a
     :class:`~repro.monitor.SpanTracer` attached; ``--replay`` instead
-    rebuilds the spans from a JSONL event recording (span events are
-    part of the bus stream, so any ``--events-out`` file from a traced
-    run replays losslessly).
+    folds a JSONL event recording (span events are part of the bus
+    stream, so any ``--events-out`` file from a traced run replays
+    losslessly).  Both paths rebuild the spans and metrics with the same
+    folds.
     """
     from repro.monitor import (
+        RunMetrics,
+        SpanStreamBuilder,
         critical_path,
         diagnose,
         format_breakdown,
-        spans_from_events,
         work_coverage,
         write_chrome_trace,
         write_spans_jsonl,
     )
+    from repro.monitor.tracing import orphan_spans
 
-    if args.replay is not None:
-        from repro.monitor import load_events, metrics_from_events
+    def live(env) -> None:
+        from repro.scenarios import execute_prepared, prepare_quickstart
 
-        try:
-            events = load_events(args.replay)
-        except OSError as exc:
-            raise SystemExit(str(exc)) from None
-        except ValueError as exc:
-            raise SystemExit(
-                f"{args.replay}: not a valid event stream ({exc})"
-            ) from None
-        spans = spans_from_events(events)
-        metrics = metrics_from_events(events)
-        orphan_count = sum(
-            1 for s in spans
-            if s.parent_id is None and s.name not in ("unit", "run")
+        prepared = prepare_quickstart(
+            events=args.events, workers=args.workers, seed=args.seed, env=env
         )
+        execute_prepared(prepared, settle=300.0)
+
+    metrics, builder = RunMetrics(), SpanStreamBuilder()
+    events = _fold_stream(args, out, args.replay, [metrics, builder], live)
+    if events is not None:
         out.write(f"replayed {len(events)} events from {args.replay}\n")
-    else:
-        from repro.analysis import simulation_code
-        from repro.batch import CondorPool, GlideinRequest, MachinePool
-        from repro.core import LobsterConfig, LobsterRun, Services, WorkflowConfig
-        from repro.desim import Environment
-        from repro.distributions import ConstantHazardEviction
-        from repro.monitor import SpanTracer
-
-        env = Environment()
-        tracer = SpanTracer(env)
-        sink = _attach_events_sink(env, args)
-        services = Services.default(env, seed=args.seed)
-        cfg = LobsterConfig(
-            workflows=[
-                WorkflowConfig(
-                    label="traced",
-                    code=simulation_code(),
-                    n_events=args.events,
-                    events_per_tasklet=500,
-                    tasklets_per_task=4,
-                )
-            ],
-            cores_per_worker=4,
-            seed=args.seed,
-        )
-        run = LobsterRun(env, cfg, services)
-        run.start()
-        machines = MachinePool.homogeneous(
-            env, args.workers, cores=4, fabric=services.fabric
-        )
-        pool = CondorPool(
-            env, machines, eviction=ConstantHazardEviction(0.1), seed=args.seed
-        )
-        pool.submit(
-            GlideinRequest(
-                n_workers=args.workers, cores_per_worker=4, start_interval=2.0
-            ),
-            run.worker_payload,
-        )
-        env.run(until=run.process)
-        pool.drain()
-        env.run(until=env.now + 300.0)
-        orphan_count = len(tracer.finalize())
-        spans = list(tracer.spans)
-        metrics = run.metrics
-        if sink is not None:
-            sink.close()
-            out.write(f"recorded {sink.count} events to {sink.path}\n")
-
+    spans = builder.result()
     traces = {s.trace_id for s in spans}
     out.write(f"{len(spans)} spans across {len(traces)} traces, "
-              f"{orphan_count} orphans\n")
+              f"{len(orphan_spans(spans))} orphans\n")
     if args.spans_out is not None:
         n = write_spans_jsonl(spans, args.spans_out)
         out.write(f"wrote {n} spans to {args.spans_out}\n")
@@ -768,69 +776,40 @@ def _parse_params(pairs: List[str]) -> dict:
 def cmd_dash(args, out) -> int:
     """Render a run as a static HTML ops dashboard.
 
-    Live mode runs a DES scenario from the sweep registry with a
-    :class:`~repro.monitor.RollupCollector` (and a
+    Live mode runs a DES scenario from the sweep registry with the
+    rollup, exact-metrics and span folds (plus a
     :class:`~repro.monitor.SpanTracer`, so §5 diagnoses carry
-    click-through evidence spans) attached to the bus; ``--replay``
-    instead rebuilds the rollup from a JSONL event recording.  Both
-    paths optionally cross-check the streaming rollup against the
-    exact :class:`~repro.monitor.RunMetrics` reduction.
+    click-through evidence spans) tapped onto the bus; ``--replay``
+    instead folds a JSONL event recording through the same folds.  Both
+    paths optionally cross-check the streaming rollup against the exact
+    :class:`~repro.monitor.RunMetrics` reduction.
     """
-    from repro.monitor import verify_parity, write_dashboard
+    from repro.monitor import (
+        Rollup,
+        RunMetrics,
+        SpanStreamBuilder,
+        verify_parity,
+        write_dashboard,
+    )
 
-    if args.replay is not None:
-        from repro.monitor import (
-            load_events,
-            metrics_from_events,
-            rollup_from_events,
-            spans_from_events,
-        )
+    live = seed = bus = None
+    if args.replay is None:
+        build, seed = _registry_scenario(args)
 
-        try:
-            events = load_events(args.replay)
-        except OSError as exc:
-            raise SystemExit(str(exc)) from None
-        except ValueError as exc:
-            raise SystemExit(
-                f"{args.replay}: not a valid event stream ({exc})"
-            ) from None
-        rollup = rollup_from_events(events, bin_width=args.bin_width)
-        metrics = metrics_from_events(events)
-        spans = spans_from_events(events)
+        def live(env) -> None:
+            nonlocal bus
+            bus = env.bus
+            build(env)
+
+    rollup, metrics, spans = Rollup(args.bin_width), RunMetrics(), SpanStreamBuilder()
+    events = _fold_stream(args, out, args.replay, [rollup, metrics, spans], live)
+    if events is not None:
         bus_stats = None
         title = f"replay of {args.replay}"
         out.write(f"replayed {len(events)} events from {args.replay}\n")
     else:
-        from repro.desim import Environment
-        from repro.monitor import RollupCollector, SpanTracer
-        from repro.sweep import get_scenario, list_scenarios
-
-        try:
-            scenario = get_scenario(args.scenario)
-        except KeyError:
-            names = ", ".join(s.name for s in list_scenarios())
-            raise SystemExit(
-                f"unknown scenario {args.scenario!r} (available: {names})"
-            ) from None
-        if scenario.kind != "des":
-            raise SystemExit(
-                f"scenario {args.scenario!r} is not a DES run scenario"
-            )
-        params = _parse_params(args.param)
-        params.setdefault("seed", args.seed)
-        env = Environment()
-        tracer = SpanTracer(env)
-        collector = RollupCollector(env.bus, bin_width=args.bin_width)
-        try:
-            result = scenario.build(env, **params)
-        except TypeError as exc:
-            raise SystemExit(f"scenario {args.scenario!r}: {exc}") from None
-        tracer.finalize()
-        rollup = collector.rollup
-        metrics = result.run.metrics
-        spans = list(tracer.spans)
-        bus_stats = env.bus.stats()
-        title = f"{args.scenario} (seed {params['seed']})"
+        bus_stats = bus.stats()
+        title = f"{args.scenario} (seed {seed})"
         out.write(
             f"ran scenario {args.scenario!r}: {rollup.events_seen} events "
             f"folded into {int(rollup.bin_width)}s windows\n"
@@ -849,7 +828,7 @@ def cmd_dash(args, out) -> int:
         args.out,
         rollup,
         metrics=metrics,
-        spans=spans,
+        spans=spans.result(),
         bus_stats=bus_stats,
         title=title,
     )
@@ -860,103 +839,79 @@ def cmd_dash(args, out) -> int:
 def cmd_watch(args, out) -> int:
     """Watch a run live (or replay one) through the health engine.
 
-    Live mode attaches a :class:`~repro.monitor.RunWatcher` (plus the
-    rollup collector and span tracer) to a DES scenario from the sweep
-    registry; every detector transition is printed as a greppable
+    Live mode attaches a :class:`~repro.monitor.RunWatcher` (after the
+    rollup, exact-metrics and span folds) to a DES scenario from the
+    sweep registry; every detector transition is printed as a greppable
     ``ALERT`` line and published on the bus, and ``--refresh-every``
     re-renders the dashboard atomically at window closes.  ``--replay``
-    runs the same engine over a JSONL recording — the alert stream is
-    byte-identical to what the live run produced.
+    runs the same folds and engine over a JSONL recording — the alert
+    stream is byte-identical to what the live run produced.
     """
     import json as _json
 
-    from repro.monitor import rollup_from_events, write_dashboard
+    from repro.monitor import (
+        Rollup,
+        RunMetrics,
+        RunWatcher,
+        SpanStreamBuilder,
+        WatchEngine,
+        write_dashboard,
+    )
 
+    rollup, metrics, spans = Rollup(args.window), RunMetrics(), SpanStreamBuilder()
+    engine = WatchEngine(window=args.window)
+    folds = [rollup, metrics, spans]
+    refreshes = 0
+    live = seed = env = watcher = None
     if args.replay is not None:
-        from repro.monitor import alerts_from_events, load_events, metrics_from_events
+        folds.append(engine)  # replay feeds the engine as the last fold
+    else:
+        build, seed = _registry_scenario(args)
 
-        try:
-            events = load_events(args.replay)
-        except OSError as exc:
-            raise SystemExit(str(exc)) from None
-        except ValueError as exc:
-            raise SystemExit(
-                f"{args.replay}: not a valid event stream ({exc})"
-            ) from None
-        engine = alerts_from_events(events, window=args.window)
-        rollup = rollup_from_events(events, bin_width=args.window)
-        metrics = metrics_from_events(events)
-        bus_stats = None
-        bus_timeline = None
+        def live(run_env) -> None:
+            nonlocal env, watcher
+            # Tapped after the folds, so alerts the watcher republishes
+            # reach them after the event that raised them.
+            env, watcher = run_env, RunWatcher(run_env.bus, engine)
+            if args.refresh_every is not None:
+                last = 0.0
+                sample_bus = engine.on_window  # the watcher's stats sampler
+
+                def on_window(w_idx: int, t: float) -> None:
+                    nonlocal last, refreshes
+                    sample_bus(w_idx, t)
+                    if t - last >= args.refresh_every:
+                        last = t
+                        write_dashboard(
+                            args.out,
+                            rollup,
+                            bus_stats=env.bus.stats(),
+                            title=f"{args.scenario} (live, t={t:.0f}s)",
+                            alerts=engine.alerts,
+                            watch_history=engine.history,
+                            bus_timeline=watcher.bus_timeline,
+                            now=t,
+                        )
+                        refreshes += 1
+
+                engine.on_window = on_window
+            build(env)
+
+    events = _fold_stream(args, out, args.replay, folds, live)
+    if events is not None:
+        bus_stats = bus_timeline = None
         now = max((float(e.get("t", 0.0)) for e in events), default=None)
         title = f"watch replay of {args.replay}"
         out.write(f"replayed {len(events)} events from {args.replay}\n")
     else:
-        from repro.desim import Environment
-        from repro.monitor import RollupCollector, RunWatcher, SpanTracer
-        from repro.sweep import get_scenario, list_scenarios
-
-        try:
-            scenario = get_scenario(args.scenario)
-        except KeyError:
-            names = ", ".join(s.name for s in list_scenarios())
-            raise SystemExit(
-                f"unknown scenario {args.scenario!r} (available: {names})"
-            ) from None
-        if scenario.kind != "des":
-            raise SystemExit(
-                f"scenario {args.scenario!r} is not a DES run scenario"
-            )
-        params = _parse_params(args.param)
-        params.setdefault("seed", args.seed)
-        env = Environment()
-        sink = _attach_events_sink(env, args)
-        tracer = SpanTracer(env)
-        collector = RollupCollector(env.bus, bin_width=args.window)
-        watcher = RunWatcher(env.bus, window=args.window)
-        engine = watcher.engine
-
-        refreshes = [0]
-        if args.refresh_every is not None:
-            last = [0.0]
-            sample_bus = engine.on_window  # the watcher's stats sampler
-
-            def on_window(w_idx: int, t: float) -> None:
-                sample_bus(w_idx, t)
-                if t - last[0] >= args.refresh_every:
-                    last[0] = t
-                    write_dashboard(
-                        args.out,
-                        collector.rollup,
-                        bus_stats=env.bus.stats(),
-                        title=f"{args.scenario} (live, t={t:.0f}s)",
-                        alerts=engine.alerts,
-                        watch_history=engine.history,
-                        bus_timeline=watcher.bus_timeline,
-                        now=t,
-                    )
-                    refreshes[0] += 1
-
-            engine.on_window = on_window
-
-        try:
-            scenario.build(env, **params)
-        except TypeError as exc:
-            raise SystemExit(f"scenario {args.scenario!r}: {exc}") from None
-        tracer.finalize()
-        if sink is not None:
-            sink.close()
-            out.write(f"recorded {sink.count} events to {sink.path}\n")
-        rollup = collector.rollup
-        metrics = None
         bus_stats = env.bus.stats()
         bus_timeline = watcher.bus_timeline
         now = float(env.now)
-        title = f"{args.scenario} (seed {params['seed']})"
+        title = f"{args.scenario} (seed {seed})"
         out.write(
             f"watched {engine.events_seen} events across "
             f"{engine.windows_closed} windows"
-            + (f", {refreshes[0]} mid-run refreshes\n"
+            + (f", {refreshes} mid-run refreshes\n"
                if args.refresh_every is not None else "\n")
         )
 
@@ -980,6 +935,7 @@ def cmd_watch(args, out) -> int:
         args.out,
         rollup,
         metrics=metrics,
+        spans=spans.result(),
         bus_stats=bus_stats,
         title=title,
         alerts=engine.alerts,

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 from ..batch.condor import WorkerSlot
 from ..cvmfs import CacheMode, ParrotCache
 from ..desim import Environment, Interrupt, Topics
-from ..monitor import BusCollector, RunMetrics
+from ..monitor import RunMetrics, tap
 from ..storage import StoredFile
 from ..storage.integrity import IntegrityError
 from ..wq import Foreman, Master, Task, TaskResult, Worker
@@ -137,13 +137,13 @@ class LobsterRun:
         #: Resume from the Lobster DB after a scheduler crash (§3 footnote):
         #: tasklet states are restored instead of regenerated.
         self.recover = recover
-        #: Monitoring is bus-driven: the collector subscribes to the
-        #: environment's event bus and folds ``task.*`` events into
-        #: metrics; this class only *publishes*.
-        self.collector = BusCollector(
-            env.bus, workflows=[wf.label for wf in config.workflows]
+        #: Monitoring is bus-driven: the metrics fold is tapped onto the
+        #: environment's event bus and folds this run's events; this
+        #: class only *publishes*.
+        self.metrics = RunMetrics()
+        self.metrics_tap = tap(
+            env.bus, [self.metrics], workflows=[wf.label for wf in config.workflows]
         )
-        self.metrics: RunMetrics = self.collector.metrics
         # Merge output names must never collide with ones a previous
         # (crashed) scheduler already committed to this DB — and neither
         # may task ids, which analysis output names embed.

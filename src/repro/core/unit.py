@@ -107,11 +107,11 @@ class TaskletStore:
         if n_events <= 0 or events_per_tasklet <= 0:
             raise ValueError("event counts must be positive")
         store = cls(workflow)
-        remaining = n_events
-        while remaining > 0:
-            n = min(events_per_tasklet, remaining)
-            store.add(n_events=n, input_bytes=0.0)
-            remaining -= n
+        full, rest = divmod(n_events, events_per_tasklet)
+        sizes = [events_per_tasklet] * full + ([rest] if rest else [])
+        # One batch: a 10k-core campaign can ask for ~10^5 single-event
+        # tasklets, and per-tasklet ``add`` calls dominate.
+        store._extend((n, 0.0, None, ()) for n in sizes)
         return store
 
     @classmethod
@@ -141,17 +141,19 @@ class TaskletStore:
         return store
 
     def add(self, n_events: int, input_bytes: float, lfn=None, lumis=()) -> Tasklet:
-        t = Tasklet(
-            tasklet_id=len(self._tasklets) + 1,
-            workflow=self.workflow,
-            n_events=n_events,
-            input_bytes=input_bytes,
-            lfn=lfn,
-            lumis=tuple(lumis),
-        )
-        self._tasklets.append(t)
-        self._pending.append(len(self._tasklets) - 1)
-        return t
+        return self._extend([(n_events, input_bytes, lfn, tuple(lumis))])[0]
+
+    def _extend(self, specs) -> List[Tasklet]:
+        """Append pending tasklets, one per ``(n_events, input_bytes, lfn, lumis)``."""
+        start = len(self._tasklets)
+        wf = self.workflow
+        new = [
+            Tasklet(tid, wf, n, nbytes, lfn, lumis)
+            for tid, (n, nbytes, lfn, lumis) in enumerate(specs, start + 1)
+        ]
+        self._tasklets.extend(new)
+        self._pending.extend(range(start, start + len(new)))
+        return new
 
     # -- state transitions --------------------------------------------------------
     def claim(self, n: int) -> List[Tasklet]:

@@ -5,7 +5,6 @@ to the paper's tables and timelines (Figs 8–11), and applies the
 troubleshooting heuristics the Lobster operators used in production.
 """
 
-from .collector import BusCollector, metrics_from_events
 from .context import CMS_2015_RESOURCES, ContextStatement, contextualize
 from .dash import render_dashboard, write_dashboard
 from .export import (
@@ -14,8 +13,8 @@ from .export import (
     export_run,
     load_events,
     load_task_records,
-    records_from_events,
 )
+from .fold import Fold, Tap, replay, tap
 from .metrics import EventLog, TimeSeries
 from .records import RunMetrics, RuntimeBreakdown, TaskRecord
 from .report import ascii_bar, ascii_timeline, render_report, requeue_summary
@@ -23,7 +22,6 @@ from .rollup import (
     Rollup,
     RollupCollector,
     SegmentDigest,
-    rollup_from_events,
     split_events_by_window,
     verify_parity,
 )
@@ -46,7 +44,6 @@ from .tracing import (
     chrome_trace,
     critical_path,
     format_breakdown,
-    spans_from_events,
     work_coverage,
     write_chrome_trace,
     write_spans_jsonl,
@@ -57,7 +54,6 @@ from .watch import (
     DetectorSpec,
     RunWatcher,
     WatchEngine,
-    alerts_from_events,
 )
 
 __all__ = [
@@ -83,17 +79,17 @@ __all__ = [
     "summarize",
     "export_run",
     "load_task_records",
-    "BusCollector",
-    "metrics_from_events",
+    "Fold",
+    "Tap",
+    "tap",
+    "replay",
     "JsonlSink",
     "CsvSink",
     "load_events",
-    "records_from_events",
     "TraceContext",
     "Span",
     "SpanTracer",
     "SpanStreamBuilder",
-    "spans_from_events",
     "PathSlice",
     "critical_path",
     "attribute",
@@ -107,7 +103,6 @@ __all__ = [
     "Rollup",
     "RollupCollector",
     "SegmentDigest",
-    "rollup_from_events",
     "split_events_by_window",
     "verify_parity",
     "render_dashboard",
@@ -116,5 +111,4 @@ __all__ = [
     "DEFAULT_DETECTORS",
     "WatchEngine",
     "RunWatcher",
-    "alerts_from_events",
 ]

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from .report import format_reasons
 from .rollup import Rollup
 
 __all__ = ["render_dashboard", "write_dashboard"]
@@ -255,10 +256,15 @@ def _chaos_panel(rollup: Rollup) -> str:
     )
     if not have:
         return ""
+    requeues = rollup.requeues_by_reason
     tiles = [
         _tile("faults injected", str(rollup.faults_injected), "warn"),
         _tile("faults cleared", str(rollup.faults_cleared)),
         _tile("evictions", str(rollup.evictions)),
+        _tile(
+            f"requeues ({format_reasons(requeues)})" if requeues else "requeues",
+            str(sum(requeues.values())),
+        ),
         _tile("retry budgets spent", str(rollup.tasks_exhausted)),
         _tile("stream fallbacks", str(rollup.fallbacks)),
         _tile("warm restarts", str(rollup.resumes)),

@@ -23,7 +23,6 @@ __all__ = [
     "JsonlSink",
     "CsvSink",
     "load_events",
-    "records_from_events",
 ]
 
 HOUR = 3600.0
@@ -199,15 +198,6 @@ def load_events(path: str) -> List[dict]:
             if line:
                 out.append(json.loads(line))
     return out
-
-
-def records_from_events(events) -> List[TaskRecord]:
-    """Extract :class:`TaskRecord` objects from recorded event dicts."""
-    return [
-        TaskRecord.from_event(ev)
-        for ev in events
-        if ev.get("topic") == "task.result"
-    ]
 
 
 def load_task_records(path: str) -> List[TaskRecord]:

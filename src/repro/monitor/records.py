@@ -18,6 +18,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..analysis.report import ExitCode
+from ..desim.bus import Topics
+from .fold import METRIC_TOPICS, RUNNING_TOPICS, payload
 from .metrics import EventLog, TimeSeries
 
 __all__ = ["TaskRecord", "FlowRecord", "RuntimeBreakdown", "RunMetrics"]
@@ -109,8 +111,6 @@ class FlowRecord:
     @classmethod
     def from_event(cls, topic: str, time: float, fields: Dict) -> "FlowRecord":
         """Build a record from a ``net.flow`` / ``net.flow.fail`` event."""
-        from ..desim.bus import Topics
-
         ok = topic == Topics.NET_FLOW
         nbytes = float(fields.get("nbytes" if ok else "moved", 0.0))
         elapsed = float(fields.get("elapsed", 0.0))
@@ -182,7 +182,13 @@ class RuntimeBreakdown:
 
 
 class RunMetrics:
-    """Accumulates task records and reduces them to the paper's figures."""
+    """Accumulates task records and reduces them to the paper's figures.
+
+    A :class:`~repro.monitor.fold.Fold`: ``tap`` it onto a live bus or
+    ``replay`` a recording through it (:meth:`ingest`).
+    """
+
+    topics = METRIC_TOPICS
 
     def __init__(self) -> None:
         self.records: List[TaskRecord] = []
@@ -191,6 +197,9 @@ class RunMetrics:
         self.completions = EventLog("completions")  # category = "ok"/"failed"
         self.failures = EventLog("failures")  # category = exit code name
         self.evictions_seen = 0
+        #: ``task.requeue`` count per loss reason (eviction, worker-crash,
+        #: fast-abort).
+        self.requeues_by_reason: Dict[str, int] = {}
         #: (time, output bytes) per successful task, for the cumulative
         #: output-written-to-disk view of §5.
         self.output_log: List[tuple] = []
@@ -224,8 +233,58 @@ class RunMetrics:
         #: (time, topic, fields) for every ``alert.raise``/``alert.clear``
         #: a watch engine published on this run's bus, in bus order.
         self.alerts: List[tuple] = []
+        #: The remaining topics, each logged as (time, fields).
+        self._logs = {
+            Topics.RECOVERY_FALLBACK: self.stream_fallbacks,
+            Topics.RECOVERY_RESUME: self.recovery_resumes,
+            Topics.INTEGRITY_CORRUPT: self.integrity_corrupt,
+            Topics.INTEGRITY_QUARANTINE: self.integrity_quarantined,
+            Topics.INTEGRITY_ORPHAN: self.integrity_orphans,
+            Topics.TASK_DUPLICATE: self.duplicates_dropped,
+        }
 
     # -- ingestion -------------------------------------------------------------
+    def ingest(self, topic: str, t: float, fields: Dict) -> None:
+        """Fold one event; ``net.flow`` (the hot topic) is tested first."""
+        if topic == Topics.NET_FLOW:
+            # The fabric batches flush narration: one net.flow record may
+            # carry a ``flows`` list of per-flow records.
+            flows = fields.get("flows")
+            if flows is None:
+                self.flows.append(FlowRecord.from_event(topic, t, fields))
+            else:
+                add = self.flows.append
+                for rec in flows:
+                    add(FlowRecord.from_event(topic, t, rec))
+        elif topic in RUNNING_TOPICS:
+            running = fields.get("running")
+            if running is not None:
+                self.observe_running(t, running)
+            if topic == Topics.TASK_REQUEUE:
+                reason = fields.get("reason", "unknown")
+                self.requeues_by_reason[reason] = self.requeues_by_reason.get(reason, 0) + 1
+        elif topic == Topics.TASK_RESULT:
+            self.add_record(TaskRecord.from_event(fields))
+        elif topic == Topics.NET_FLOW_FAIL:
+            # Failures are emitted per flow, never batched.
+            self.flows.append(FlowRecord.from_event(topic, t, fields))
+        elif topic == Topics.EVICTION:
+            self.evictions_seen += 1
+        elif topic == Topics.TASK_EXHAUSTED:
+            self.tasks_exhausted += 1
+        elif topic == Topics.INTEGRITY_COMMIT:
+            self.integrity_commits += 1
+        elif topic == Topics.HOST_BLACKLIST:
+            self.blacklist_log.append(
+                (t, fields.get("host"), bool(fields.get("active", True)))
+            )
+        elif topic == Topics.FAULT_INJECT or topic == Topics.FAULT_CLEAR:
+            self.faults.append((t, topic, payload(fields)))
+        elif topic == Topics.ALERT_RAISE or topic == Topics.ALERT_CLEAR:
+            self.alerts.append((t, topic, payload(fields)))
+        else:
+            self._logs[topic].append((t, payload(fields)))
+
     def add_record(self, rec: TaskRecord) -> TaskRecord:
         """Ingest one flattened task record (the bus-facing entry point)."""
         self.records.append(rec)
@@ -239,11 +298,6 @@ class RunMetrics:
     def add_result(self, workflow: str, result) -> TaskRecord:
         """Ingest a ``TaskResult``-shaped object directly (duck-typed)."""
         return self.add_record(TaskRecord.from_result(workflow, result))
-
-    def add_flow(self, rec: FlowRecord) -> FlowRecord:
-        """Ingest one network flow record."""
-        self.flows.append(rec)
-        return rec
 
     def observe_running(self, t: float, running: float) -> None:
         """Append one (time, concurrent running tasks) sample."""
@@ -399,28 +453,8 @@ class RunMetrics:
         return b.task_cpu / b.total if b.total > 0 else 0.0
 
     # -- chaos (fault injection & active recovery) ---------------------------
-    def record_fault(self, t: float, topic: str, fields: Dict) -> None:
-        """Ingest one ``fault.inject`` / ``fault.clear`` event."""
-        self.faults.append((t, topic, dict(fields)))
-
-    def record_blacklist(self, t: float, fields: Dict) -> None:
-        """Ingest one ``host.blacklist`` transition."""
-        self.blacklist_log.append(
-            (t, fields.get("host"), bool(fields.get("active", True)))
-        )
-
-    def record_fallback(self, t: float, fields: Dict) -> None:
-        """Ingest one ``recovery.fallback`` (streaming→staging) event."""
-        self.stream_fallbacks.append((t, dict(fields)))
-
-    def record_resume(self, t: float, fields: Dict) -> None:
-        """Ingest one ``recovery.resume`` (warm-restart re-attach) event."""
-        self.recovery_resumes.append((t, dict(fields)))
-
     @property
     def n_faults_injected(self) -> int:
-        from ..desim.bus import Topics
-
         return sum(1 for _, topic, _f in self.faults if topic == Topics.FAULT_INJECT)
 
     def hosts_blacklisted(self) -> List[str]:
@@ -440,39 +474,13 @@ class RunMetrics:
             or self.tasks_exhausted
         )
 
-    # -- integrity & exactly-once ---------------------------------------------
-    def record_integrity(self, t: float, topic: str, fields: Dict) -> None:
-        """Ingest one ``integrity.*`` event, dispatched on the topic."""
-        from ..desim.bus import Topics
-
-        if topic == Topics.INTEGRITY_CORRUPT:
-            self.integrity_corrupt.append((t, dict(fields)))
-        elif topic == Topics.INTEGRITY_QUARANTINE:
-            self.integrity_quarantined.append((t, dict(fields)))
-        elif topic == Topics.INTEGRITY_COMMIT:
-            self.integrity_commits += 1
-        elif topic == Topics.INTEGRITY_ORPHAN:
-            self.integrity_orphans.append((t, dict(fields)))
-
-    def record_duplicate(self, t: float, fields: Dict) -> None:
-        """Ingest one ``task.duplicate`` (late/replayed result dropped)."""
-        self.duplicates_dropped.append((t, dict(fields)))
-
-    # -- live run health --------------------------------------------------------
-    def record_alert(self, t: float, topic: str, fields: Dict) -> None:
-        """Ingest one ``alert.raise`` / ``alert.clear`` event."""
-        self.alerts.append((t, topic, dict(fields)))
-
+    # -- live run health, integrity & exactly-once -----------------------------
     @property
     def n_alerts_raised(self) -> int:
-        from ..desim.bus import Topics
-
         return sum(1 for _, topic, _f in self.alerts if topic == Topics.ALERT_RAISE)
 
     @property
     def n_alerts_cleared(self) -> int:
-        from ..desim.bus import Topics
-
         return sum(1 for _, topic, _f in self.alerts if topic == Topics.ALERT_CLEAR)
 
     def has_integrity_data(self) -> bool:

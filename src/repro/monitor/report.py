@@ -9,7 +9,7 @@ troubleshooting findings.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
@@ -48,13 +48,18 @@ def ascii_timeline(values, width: int = 60, height_chars: str = " .:-=+*#%@") ->
     return "".join(height_chars[int(round(v / top * scale))] for v in values)
 
 
+def format_reasons(counts: Dict[str, int]) -> str:
+    """Per-reason counts, largest first: ``"eviction 3, fast-abort 2"``."""
+    by_reason = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ", ".join(f"{reason} {n}" for reason, n in by_reason)
+
+
 def requeue_summary(master) -> str:
     """``"N requeued"`` plus the per-reason breakdown, largest first,
     e.g. ``"5 requeued (eviction 3, fast-abort 2)"``."""
     text = f"{master.tasks_requeued} requeued"
-    by_reason = sorted(master.requeues_by_reason.items(), key=lambda kv: (-kv[1], kv[0]))
-    if by_reason:
-        text += " (" + ", ".join(f"{reason} {n}" for reason, n in by_reason) + ")"
+    if master.requeues_by_reason:
+        text += f" ({format_reasons(master.requeues_by_reason)})"
     return text
 
 

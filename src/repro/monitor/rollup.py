@@ -58,24 +58,21 @@ layers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..desim.bus import BusEvent, EventBus, Topics
+from ..desim.bus import EventBus, Topics
+from .fold import METRIC_TOPICS, RUNNING_TOPICS, tap
 from .records import RunMetrics, RuntimeBreakdown
 
 __all__ = [
     "Rollup",
     "RollupCollector",
     "SegmentDigest",
-    "rollup_from_events",
     "split_events_by_window",
     "verify_parity",
 ]
-
-#: Topics whose events carry a ``running`` concurrency sample.
-_RUNNING_TOPICS = (Topics.TASK_START, Topics.TASK_DONE, Topics.TASK_REQUEUE)
 
 #: Bounded narration kept for the dashboard's chaos panel.
 _NARRATION_LIMIT = 64
@@ -166,13 +163,6 @@ class SegmentDigest:
                 return float(np.sqrt(edges[i - 1] * edges[i]))
         return self.max  # pragma: no cover - defensive
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[float]) -> "SegmentDigest":
-        d = cls()
-        for x in samples:
-            d.add(x)
-        return d
-
     def merge_from(self, other: "SegmentDigest") -> None:
         """Fold *other* into this digest (window-disjoint partials merge
         without any float re-addition; overlapping windows sum)."""
@@ -192,12 +182,14 @@ class SegmentDigest:
 class Rollup:
     """Windowed streaming aggregation of a run's bus event stream.
 
-    Feed it the same events a :class:`RunMetrics` would see (directly,
-    via :class:`RollupCollector`, or offline via
-    :func:`rollup_from_events`); read the finalisers at any point —
-    they are pure functions of the accumulated cells and may be called
+    A :class:`~repro.monitor.fold.Fold` over the same topics as
+    :class:`RunMetrics`: ``tap`` it onto a live bus or ``replay`` a
+    recording through it.  Read the finalisers at any point — they are
+    pure functions of the accumulated cells and may be called
     repeatedly, including mid-run.
     """
+
+    topics = METRIC_TOPICS
 
     def __init__(self, bin_width: float = 1800.0):
         if bin_width <= 0:
@@ -243,6 +235,8 @@ class Rollup:
         self.alerts_cleared = 0
         # ---- chaos ----
         self.evictions = 0
+        #: ``task.requeue`` count per loss reason.
+        self.requeues_by_reason: Dict[str, int] = {}
         self.faults_injected = 0
         self.faults_cleared = 0
         self.tasks_exhausted = 0
@@ -369,47 +363,42 @@ class Rollup:
         self._running_last = running
         self._running_seen = True
 
-    def note_eviction(self, t: float, fields: Dict) -> None:
-        self.events_seen += 1
-        self.evictions += 1
-
-    def note_fault(self, t: float, topic: str, fields: Dict) -> None:
-        self.events_seen += 1
-        if topic == Topics.FAULT_INJECT:
-            self.faults_injected += 1
+    def ingest(self, topic: str, t: float, fields: Dict) -> None:
+        """Fold one event (the :class:`~repro.monitor.fold.Fold` entry);
+        ``net.flow`` (the hot topic) is tested first."""
+        if topic == Topics.NET_FLOW:
+            flows = fields.get("flows")
+            if flows is None:
+                self.add_flow(t, fields)
+            else:
+                add = self.add_flow
+                for rec in flows:
+                    add(t, rec)
+        elif topic in RUNNING_TOPICS:
+            running = fields.get("running")
+            if running is not None:
+                self.observe_running(t, running)
+            if topic == Topics.TASK_REQUEUE:
+                reason = fields.get("reason", "unknown")
+                self.requeues_by_reason[reason] = self.requeues_by_reason.get(reason, 0) + 1
+        elif topic == Topics.TASK_RESULT:
+            self.add_task(fields)
+        elif topic == Topics.NET_FLOW_FAIL:
+            self.add_flow(t, fields, ok=False)
         else:
-            self.faults_cleared += 1
-        kind = fields.get("kind", fields.get("fault", ""))
-        self.narration.append((t, topic, str(kind)))
+            self._note(topic, t, fields)
 
-    def note_blacklist(self, t: float, fields: Dict) -> None:
+    def _note(self, topic: str, t: float, fields: Dict) -> None:
+        """The counters, and the dashboard's chaos narration."""
         self.events_seen += 1
-        host = fields.get("host")
-        if fields.get("active", True) and host not in self.blacklisted_hosts:
-            self.blacklisted_hosts.append(host)
-        self.narration.append((t, Topics.HOST_BLACKLIST, str(host)))
-
-    def note_exhausted(self, t: float, fields: Dict) -> None:
-        self.events_seen += 1
-        self.tasks_exhausted += 1
-
-    def note_fallback(self, t: float, fields: Dict) -> None:
-        self.events_seen += 1
-        self.fallbacks += 1
-        self.narration.append(
-            (t, Topics.RECOVERY_FALLBACK, str(fields.get("workflow", "")))
-        )
-
-    def note_resume(self, t: float, fields: Dict) -> None:
-        self.events_seen += 1
-        self.resumes += 1
-        self.narration.append(
-            (t, Topics.RECOVERY_RESUME, str(fields.get("workflow", "")))
-        )
-
-    def note_integrity(self, t: float, topic: str, fields: Dict) -> None:
-        self.events_seen += 1
-        if topic == Topics.INTEGRITY_CORRUPT:
+        narrate = self.narration.append
+        if topic == Topics.EVICTION:
+            self.evictions += 1
+        elif topic == Topics.TASK_EXHAUSTED:
+            self.tasks_exhausted += 1
+        elif topic == Topics.TASK_DUPLICATE:
+            self.duplicates_dropped += 1
+        elif topic == Topics.INTEGRITY_CORRUPT:
             self.integrity_corrupt += 1
         elif topic == Topics.INTEGRITY_QUARANTINE:
             self.integrity_quarantined += 1
@@ -417,59 +406,30 @@ class Rollup:
             self.integrity_commits += 1
         elif topic == Topics.INTEGRITY_ORPHAN:
             self.integrity_orphans += 1
-
-    def note_duplicate(self, t: float, fields: Dict) -> None:
-        self.events_seen += 1
-        self.duplicates_dropped += 1
-
-    def note_alert(self, t: float, topic: str, fields: Dict) -> None:
-        """Fold one ``alert.raise`` / ``alert.clear`` event."""
-        self.events_seen += 1
-        if topic == Topics.ALERT_RAISE:
-            self.alerts_raised += 1
-        else:
-            self.alerts_cleared += 1
-        label = f"{fields.get('detector', '?')}:{fields.get('severity', '')}"
-        self.narration.append((t, topic, label))
-
-    def ingest_event(self, ev: dict) -> None:
-        """Fold one recorded event dict (JSONL shape): the offline twin
-        of :class:`RollupCollector`'s per-topic handlers, usable one
-        event at a time for interleaved replay (see ``repro watch``)."""
-        topic = ev.get("topic")
-        if topic == Topics.TASK_RESULT:
-            self.add_task(ev)
-        elif topic in _RUNNING_TOPICS:
-            running = ev.get("running")
-            if running is not None:
-                self.observe_running(float(ev.get("t", 0.0)), running)
-        elif topic in (Topics.NET_FLOW, Topics.NET_FLOW_FAIL):
-            t = float(ev.get("t", 0.0))
-            ok = topic == Topics.NET_FLOW
-            flows = ev.get("flows")
-            if flows is None:
-                self.add_flow(t, ev, ok=ok)
+        elif topic == Topics.FAULT_INJECT or topic == Topics.FAULT_CLEAR:
+            if topic == Topics.FAULT_INJECT:
+                self.faults_injected += 1
             else:
-                for rec in flows:
-                    self.add_flow(t, rec, ok=ok)
-        elif topic == Topics.EVICTION:
-            self.note_eviction(float(ev.get("t", 0.0)), ev)
-        elif topic in (Topics.FAULT_INJECT, Topics.FAULT_CLEAR):
-            self.note_fault(float(ev.get("t", 0.0)), topic, ev)
+                self.faults_cleared += 1
+            narrate((t, topic, str(fields.get("kind", fields.get("fault", "")))))
         elif topic == Topics.HOST_BLACKLIST:
-            self.note_blacklist(float(ev.get("t", 0.0)), ev)
-        elif topic == Topics.TASK_EXHAUSTED:
-            self.note_exhausted(float(ev.get("t", 0.0)), ev)
-        elif topic == Topics.RECOVERY_FALLBACK:
-            self.note_fallback(float(ev.get("t", 0.0)), ev)
-        elif topic == Topics.RECOVERY_RESUME:
-            self.note_resume(float(ev.get("t", 0.0)), ev)
-        elif topic in (Topics.ALERT_RAISE, Topics.ALERT_CLEAR):
-            self.note_alert(float(ev.get("t", 0.0)), topic, ev)
-        elif topic is not None and topic.startswith("integrity."):
-            self.note_integrity(float(ev.get("t", 0.0)), topic, ev)
-        elif topic == Topics.TASK_DUPLICATE:
-            self.note_duplicate(float(ev.get("t", 0.0)), ev)
+            host = fields.get("host")
+            if fields.get("active", True) and host not in self.blacklisted_hosts:
+                self.blacklisted_hosts.append(host)
+            narrate((t, topic, str(host)))
+        elif topic == Topics.RECOVERY_FALLBACK or topic == Topics.RECOVERY_RESUME:
+            if topic == Topics.RECOVERY_FALLBACK:
+                self.fallbacks += 1
+            else:
+                self.resumes += 1
+            narrate((t, topic, str(fields.get("workflow", ""))))
+        else:  # alert.raise / alert.clear
+            if topic == Topics.ALERT_RAISE:
+                self.alerts_raised += 1
+            else:
+                self.alerts_cleared += 1
+            label = f"{fields.get('detector', '?')}:{fields.get('severity', '')}"
+            narrate((t, topic, label))
 
     # -- window-major folded aggregates ------------------------------------
     @property
@@ -754,6 +714,8 @@ class Rollup:
             out.alerts_raised += p.alerts_raised
             out.alerts_cleared += p.alerts_cleared
             out.evictions += p.evictions
+            for reason, n in p.requeues_by_reason.items():
+                out.requeues_by_reason[reason] = out.requeues_by_reason.get(reason, 0) + n
             out.faults_injected += p.faults_injected
             out.faults_cleared += p.faults_cleared
             out.tasks_exhausted += p.tasks_exhausted
@@ -791,13 +753,7 @@ def _exit_code_name(code: int) -> str:
 
 
 class RollupCollector:
-    """Bus subscriber folding the event stream straight into a Rollup.
-
-    The streaming twin of :class:`~repro.monitor.collector.BusCollector`:
-    identical topic set, identical multi-run ``workflows`` filtering,
-    but O(windows) retention instead of O(events) record lists.  Hot
-    topics (``net.flow`` / ``net.flow.fail``) subscribe raw.
-    """
+    """A :class:`Rollup` tapped onto a live bus (see :func:`tap`)."""
 
     def __init__(
         self,
@@ -808,112 +764,10 @@ class RollupCollector:
     ):
         self.bus = bus
         self.rollup = rollup if rollup is not None else Rollup(bin_width)
-        self._workflows = frozenset(workflows) if workflows else None
-        self._subs = [
-            bus.subscribe(Topics.TASK_RESULT, self._on_result),
-            bus.subscribe(Topics.EVICTION, self._on_eviction),
-            bus.subscribe(Topics.NET_FLOW, self._on_flow, raw=True),
-            bus.subscribe(Topics.NET_FLOW_FAIL, self._on_flow_fail, raw=True),
-            bus.subscribe("fault.*", self._on_fault),
-            bus.subscribe(Topics.HOST_BLACKLIST, self._on_blacklist),
-            bus.subscribe(Topics.TASK_EXHAUSTED, self._on_exhausted),
-            bus.subscribe(Topics.RECOVERY_FALLBACK, self._on_fallback),
-            bus.subscribe(Topics.RECOVERY_RESUME, self._on_resume),
-            bus.subscribe("integrity.*", self._on_integrity),
-            bus.subscribe(Topics.TASK_DUPLICATE, self._on_duplicate),
-            bus.subscribe("alert.*", self._on_alert),
-        ]
-        self._subs.extend(
-            bus.subscribe(topic, self._on_running) for topic in _RUNNING_TOPICS
-        )
+        self._tap = tap(bus, [self.rollup], workflows=workflows)
 
     def close(self) -> None:
-        for sub in self._subs:
-            sub.cancel()
-        self._subs = []
-
-    def _accepts(self, fields: dict) -> bool:
-        if self._workflows is None:
-            return True
-        workflow = fields.get("workflow")
-        if workflow is not None:
-            return workflow in self._workflows
-        workflows = fields.get("workflows")
-        if workflows is not None:
-            return any(w in self._workflows for w in workflows)
-        return True
-
-    # -- handlers ----------------------------------------------------------
-    def _on_result(self, event: BusEvent) -> None:
-        workflow = event.fields.get("workflow")
-        if self._workflows is not None and workflow not in self._workflows:
-            return
-        self.rollup.add_task(event.fields)
-
-    def _on_running(self, event: BusEvent) -> None:
-        running = event.fields.get("running")
-        if running is not None:
-            self.rollup.observe_running(event.time, running)
-
-    def _on_eviction(self, event: BusEvent) -> None:
-        if self._accepts(event.fields):
-            self.rollup.note_eviction(event.time, event.fields)
-
-    def _on_flow(self, record: dict) -> None:
-        time = record["t"]
-        flows = record.get("flows")
-        if flows is None:
-            self.rollup.add_flow(time, record, ok=True)
-            return
-        add = self.rollup.add_flow
-        for rec in flows:
-            add(time, rec, ok=True)
-
-    def _on_flow_fail(self, record: dict) -> None:
-        self.rollup.add_flow(record["t"], record, ok=False)
-
-    def _on_fault(self, event: BusEvent) -> None:
-        self.rollup.note_fault(event.time, event.topic, event.fields)
-
-    def _on_blacklist(self, event: BusEvent) -> None:
-        self.rollup.note_blacklist(event.time, event.fields)
-
-    def _on_exhausted(self, event: BusEvent) -> None:
-        if self._accepts(event.fields):
-            self.rollup.note_exhausted(event.time, event.fields)
-
-    def _on_fallback(self, event: BusEvent) -> None:
-        if self._accepts(event.fields):
-            self.rollup.note_fallback(event.time, event.fields)
-
-    def _on_resume(self, event: BusEvent) -> None:
-        if self._accepts(event.fields):
-            self.rollup.note_resume(event.time, event.fields)
-
-    def _on_integrity(self, event: BusEvent) -> None:
-        if self._accepts(event.fields):
-            self.rollup.note_integrity(event.time, event.topic, event.fields)
-
-    def _on_duplicate(self, event: BusEvent) -> None:
-        if self._accepts(event.fields):
-            self.rollup.note_duplicate(event.time, event.fields)
-
-    def _on_alert(self, event: BusEvent) -> None:
-        self.rollup.note_alert(event.time, event.topic, event.fields)
-
-
-def rollup_from_events(
-    events: Iterable[dict], bin_width: float = 1800.0
-) -> Rollup:
-    """Rebuild a :class:`Rollup` from recorded event dicts (JSONL shape).
-
-    The offline twin of :class:`RollupCollector`, mirroring
-    :func:`~repro.monitor.collector.metrics_from_events` dispatch.
-    """
-    r = Rollup(bin_width)
-    for ev in events:
-        r.ingest_event(ev)
-    return r
+        self._tap.close()
 
 
 def _owner_window(ev: dict, bin_width: float) -> int:
@@ -936,8 +790,8 @@ def split_events_by_window(
 
     Owner windows are partitioned into contiguous, near-equal chunks;
     each event lands in the chunk owning its window, preserving stream
-    order within every chunk.  Feeding each sub-stream through
-    :func:`rollup_from_events` and merging with :meth:`Rollup.merge`
+    order within every chunk.  Replaying each sub-stream into its own
+    :class:`Rollup` and merging with :meth:`Rollup.merge`
     reproduces the single-pass rollup bit for bit (the pinned contract
     in ``tests/test_rollup_merge.py``).
     """
@@ -961,7 +815,7 @@ def _windowed_bandwidth_reference(
 ) -> Dict[str, np.ndarray]:
     """Re-derive the rollup's window-major bandwidth fold from the exact
     path's retained flow records (independent double-entry bookkeeping:
-    no collector wiring, no batch expansion, no streaming state)."""
+    no bus wiring, no batch expansion, no streaming state)."""
     cells: Dict[str, Dict[int, Dict[int, float]]] = {}
     for f in flows:
         if f.nbytes <= 0:
@@ -1108,6 +962,7 @@ def verify_parity(rollup: Rollup, metrics: RunMetrics) -> List[str]:
         ("n_succeeded", rollup.n_succeeded(), metrics.n_succeeded()),
         ("n_failed", rollup.n_failed(), metrics.n_failed()),
         ("evictions", rollup.evictions, metrics.evictions_seen),
+        ("requeues_by_reason", rollup.requeues_by_reason, metrics.requeues_by_reason),
         ("exhausted", rollup.tasks_exhausted, metrics.tasks_exhausted),
         ("fallbacks", rollup.fallbacks, len(metrics.stream_fallbacks)),
         ("resumes", rollup.resumes, len(metrics.recovery_resumes)),

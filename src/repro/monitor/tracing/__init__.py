@@ -5,8 +5,8 @@ Public surface of the tracing subsystem (DESIGN.md §10):
 * :class:`TraceContext` / :class:`Span` — the vocabulary.
 * :class:`SpanTracer` — attach to an environment before running; every
   task attempt then yields a span tree rooted at its work unit.
-* :func:`spans_from_events` — rebuild spans offline from a JSONL
-  recording of a traced run.
+* :class:`SpanStreamBuilder` — a fold that rebuilds spans offline from a
+  JSONL recording of a traced run.
 * :func:`critical_path` and friends — the "why was this slow" table.
 * :func:`write_spans_jsonl` / :func:`write_chrome_trace` —
   deterministic span exports (Perfetto-loadable).
@@ -22,15 +22,15 @@ from .critical_path import (
     work_coverage,
 )
 from .export import chrome_trace, write_chrome_trace, write_spans_jsonl
-from .tracer import ROOT_NAMES, SpanStreamBuilder, SpanTracer, spans_from_events
+from .tracer import ROOT_NAMES, SpanStreamBuilder, SpanTracer, orphan_spans
 
 __all__ = [
     "TraceContext",
     "Span",
     "SpanTracer",
     "SpanStreamBuilder",
-    "spans_from_events",
     "ROOT_NAMES",
+    "orphan_spans",
     "PathSlice",
     "critical_path",
     "attribute",

@@ -18,7 +18,7 @@ Two event streams complete the picture:
 
 * the tracer *publishes* ``span.start`` / ``span.end`` bus events for
   every span it creates, so a JSONL recording of a traced run contains
-  the full span stream (``spans_from_events`` rebuilds it offline);
+  the full span stream (:class:`SpanStreamBuilder` rebuilds it offline);
 * the tracer *subscribes* to substrate topics that carry trace fields
   (``net.flow``, ``chirp.queue``, ``cache.miss``, ``integrity.*``,
   ``fault.*``, ...) and materialises child spans or annotations from
@@ -28,12 +28,12 @@ Two event streams complete the picture:
 from __future__ import annotations
 
 from itertools import count
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...desim.bus import BusEvent, Topics
 from .context import Span, TraceContext
 
-__all__ = ["SpanTracer", "SpanStreamBuilder", "spans_from_events", "ROOT_NAMES"]
+__all__ = ["SpanTracer", "SpanStreamBuilder", "ROOT_NAMES", "orphan_spans"]
 
 #: Span names allowed to have no parent (the roots of span trees).
 ROOT_NAMES = ("unit", "run")
@@ -42,6 +42,17 @@ ROOT_NAMES = ("unit", "run")
 _CORE_KEYS = frozenset(
     ("t", "topic", "span", "trace", "parent", "name", "start", "links", "status", "end")
 )
+
+
+def orphan_spans(spans: List[Span]) -> List[Span]:
+    """The spans with no parent that are not roots, or a dangling parent."""
+    known = {span.span_id for span in spans}
+    return [
+        span
+        for span in spans
+        if (span.parent_id is None and span.name not in ROOT_NAMES)
+        or (span.parent_id is not None and span.parent_id not in known)
+    ]
 
 
 class SpanTracer:
@@ -377,15 +388,7 @@ class SpanTracer:
 
     def orphans(self) -> List[Span]:
         """Spans with no parent that are not roots, or a dangling parent."""
-        known = self._parent.keys()
-        out = []
-        for span in self.spans + list(self._open.values()):
-            if span.parent_id is None:
-                if span.name not in ROOT_NAMES:
-                    out.append(span)
-            elif span.parent_id not in known:
-                out.append(span)
-        return out
+        return orphan_spans(self.spans + list(self._open.values()))
 
     def finished(self, name: Optional[str] = None) -> List[Span]:
         """Closed spans, optionally filtered by name."""
@@ -409,45 +412,48 @@ class SpanTracer:
 
 
 class SpanStreamBuilder:
-    """Incremental span materialisation from a recorded event stream.
+    """Incremental span materialisation from a span event stream.
 
-    Feed it ``BusEvent.as_dict()``-shaped mappings one at a time (a
-    JSONL line, a live sink callback); it keeps only the spans still
-    open plus the finished list — never a raw-event buffer — so memory
-    is proportional to spans, not kernel events.  Non-span topics are
-    ignored, so the full event stream can be piped through unfiltered.
+    A :class:`~repro.monitor.fold.Fold` over ``span.start`` /
+    ``span.end``: ``replay`` a recording of a traced run through it, or
+    ``tap`` it onto the live bus.  The tracer publishes those events for
+    every span it creates, so the rebuilt span list matches the live
+    ``tracer.spans`` exactly — same spans, same ids, same order.  It
+    keeps only the spans still open plus the finished list — never a
+    raw-event buffer — so memory is proportional to spans, not events.
     """
 
     __slots__ = ("_open", "done")
+
+    topics = frozenset({Topics.SPAN_START, Topics.SPAN_END})
 
     def __init__(self) -> None:
         self._open: Dict[int, Span] = {}
         #: Finished spans in close order (matches the live tracer).
         self.done: List[Span] = []
 
-    def feed(self, ev: dict) -> None:
-        """Consume one recorded event dict."""
-        topic = ev.get("topic")
+    def ingest(self, topic: str, t: float, fields: dict) -> None:
+        """Fold one ``span.start`` / ``span.end`` event."""
         if topic == Topics.SPAN_START:
-            attrs = {k: v for k, v in ev.items() if k not in _CORE_KEYS}
+            attrs = {k: v for k, v in fields.items() if k not in _CORE_KEYS}
             span = Span(
-                ev["span"],
-                ev["trace"],
-                ev.get("parent"),
-                ev["name"],
-                float(ev.get("start", ev.get("t", 0.0))),
-                links=tuple(ev.get("links", ())),
+                fields["span"],
+                fields["trace"],
+                fields.get("parent"),
+                fields["name"],
+                float(fields.get("start", t)),
+                links=tuple(fields.get("links", ())),
                 attrs=attrs,
             )
             self._open[span.span_id] = span
         elif topic == Topics.SPAN_END:
-            span = self._open.pop(ev.get("span"), None)
+            span = self._open.pop(fields.get("span"), None)
             if span is None:
                 return
-            span.end = float(ev.get("end", ev.get("t", 0.0)))
-            span.status = ev.get("status", "ok")
+            span.end = float(fields.get("end", t))
+            span.status = fields.get("status", "ok")
             span.attrs.update(
-                {k: v for k, v in ev.items() if k not in _CORE_KEYS}
+                {k: v for k, v in fields.items() if k not in _CORE_KEYS}
             )
             self.done.append(span)
 
@@ -459,20 +465,3 @@ class SpanStreamBuilder:
         """The span list so far: finished spans, then any never closed
         (a recording cut mid-run), ordered by span id."""
         return self.done + sorted(self._open.values(), key=lambda s: s.span_id)
-
-
-def spans_from_events(events: Iterable[dict]) -> List[Span]:
-    """Rebuild the span list from recorded event dicts.
-
-    *events* is an iterable of ``BusEvent.as_dict()``-shaped mappings
-    (e.g. from a :class:`~repro.monitor.export.JsonlSink` recording of a
-    traced run).  Only ``span.start`` / ``span.end`` events are needed:
-    the tracer publishes those for every span it creates, so the
-    offline reconstruction matches the live ``tracer.spans`` exactly —
-    same spans, same ids, same order.  Streaming callers should use
-    :class:`SpanStreamBuilder` directly and avoid buffering the raw
-    events at all."""
-    builder = SpanStreamBuilder()
-    for ev in events:
-        builder.feed(ev)
-    return builder.result()

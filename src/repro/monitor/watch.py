@@ -31,26 +31,28 @@ Design rules that make a clean run alert-silent and replays exact:
   flows, cvmfs fills, quarantine instants), resolvable against the span
   stream for click-through in the dashboard and report.
 
-:class:`RunWatcher` attaches an engine to a live bus (subscribing raw,
-alongside the collectors); :func:`alerts_from_events` is the offline
-twin.  The engine ignores ``alert.*`` topics by construction — its own
-output cannot feed back into detection.
+The engine is a :class:`~repro.monitor.fold.Fold`: ``replay`` a
+recording through it offline, or attach it to a live bus with
+:class:`RunWatcher`, which taps it alongside the other folds and
+republishes its alerts on the bus.  The engine ignores ``alert.*``
+topics by construction — its own output cannot feed back into
+detection.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..desim.bus import EventBus, Topics
+from .fold import RUNNING_TOPICS, tap
 
 __all__ = [
     "DEFAULT_DETECTORS",
     "DetectorSpec",
     "RunWatcher",
     "WatchEngine",
-    "alerts_from_events",
 ]
 
 #: Evidence entries attached to one raise (newest last).
@@ -191,8 +193,6 @@ WATCH_TOPICS = frozenset(
     }
 )
 
-_RUNNING_TOPICS = (Topics.TASK_START, Topics.TASK_DONE, Topics.TASK_REQUEUE)
-
 
 class _DetectorState:
     __slots__ = ("active", "over", "under", "seq", "alert_id")
@@ -208,12 +208,14 @@ class _DetectorState:
 class WatchEngine:
     """Streaming detector evaluation over event-time windows.
 
-    Feed events via :meth:`ingest` (the :class:`RunWatcher` handlers
-    and :func:`alerts_from_events` both route through it, so live and
-    replay behaviour is one code path).  Alerts accumulate in
-    :attr:`alerts` as ``{"t", "topic", **fields}`` dicts and are also
-    handed to the *emit* callback (the watcher's bus publisher).
+    Feed events via :meth:`ingest` (``tap`` and ``replay`` both route
+    through it, so live and replay behaviour is one code path).  Alerts
+    accumulate in :attr:`alerts` as ``{"t", "topic", **fields}`` dicts
+    and are also handed to the *emit* callback (the watcher's bus
+    publisher).
     """
+
+    topics = WATCH_TOPICS
 
     def __init__(
         self,
@@ -287,7 +289,7 @@ class WatchEngine:
             self._on_span_start(fields)
         elif topic == Topics.SPAN_END:
             self._on_span_end(fields)
-        elif topic in _RUNNING_TOPICS:
+        elif topic in RUNNING_TOPICS:
             running = fields.get("running")
             if running is not None:
                 self._running = float(running)
@@ -535,13 +537,13 @@ class WatchEngine:
 class RunWatcher:
     """Attach a :class:`WatchEngine` to a live bus.
 
-    Subscribes raw (alongside the collectors) to exactly
-    :data:`WATCH_TOPICS`, republishing every engine alert as an
-    ``alert.raise`` / ``alert.clear`` bus event stamped at the
-    triggering event's time — so recordings stay time-ordered and the
-    collectors (and any sink) see alerts like any other event.  Also
-    samples ``bus.stats()`` at every window close into
-    :attr:`bus_timeline` (the watch panel's telemetry strip).
+    Taps the engine onto the bus (alongside the other folds) and
+    republishes every engine alert as an ``alert.raise`` /
+    ``alert.clear`` bus event stamped at the triggering event's time —
+    so recordings stay time-ordered and the other folds (and any sink)
+    see alerts like any other event.  Also samples ``bus.stats()`` at
+    every window close into :attr:`bus_timeline` (the watch panel's
+    telemetry strip).
 
     The watcher holds no simulation state of its own: it survives warm
     restarts for free because ``scenarios.warm_restart`` reuses the
@@ -565,18 +567,7 @@ class RunWatcher:
         self.engine.on_window = self._sample_bus
         #: (t, published, delivered) sampled at each window close.
         self.bus_timeline: List[tuple] = []
-        ingest = self.engine.ingest
-        self._subs = [
-            bus.subscribe(topic, self._handler(topic, ingest), raw=True)
-            for topic in sorted(WATCH_TOPICS)
-        ]
-
-    @staticmethod
-    def _handler(topic: str, ingest) -> Callable[[dict], None]:
-        def handle(record: dict) -> None:
-            ingest(topic, record["t"], record)
-
-        return handle
+        self._tap = tap(bus, [self.engine])
 
     def _publish(self, t: float, topic: str, fields: dict) -> None:
         self.bus.publish(topic, _time=t, **fields)
@@ -589,25 +580,4 @@ class RunWatcher:
 
     def close(self) -> None:
         """Detach from the bus (the engine stays readable)."""
-        for sub in self._subs:
-            sub.cancel()
-        self._subs = []
-
-
-def alerts_from_events(
-    events: Iterable[dict],
-    window: float = 1800.0,
-    detectors: Optional[Sequence[DetectorSpec]] = None,
-) -> WatchEngine:
-    """Replay a recorded stream through a fresh engine (offline twin).
-
-    Returns the engine; its :attr:`WatchEngine.alerts` list matches the
-    ``alert.*`` subsequence a live :class:`RunWatcher` produced on the
-    same stream, byte for byte once JSON-serialised.
-    """
-    engine = WatchEngine(window=window, detectors=detectors)
-    for ev in events:
-        topic = ev.get("topic")
-        if topic in WATCH_TOPICS:
-            engine.ingest(topic, float(ev.get("t", 0.0)), ev)
-    return engine
+        self._tap.close()

@@ -14,7 +14,7 @@ import pytest
 
 from repro.desim import Environment, EventBus, Topics
 from repro.desim.bus import BusEvent, make_event
-from repro.monitor import metrics_from_events, spans_from_events
+from repro.monitor import RunMetrics, replay, tap
 from repro.monitor.tracing import SpanStreamBuilder
 
 Topics.register("bench.tick", "bench.other")
@@ -315,8 +315,14 @@ def _flow_batch_events():
     return [batch, single]
 
 
+def _replayed_metrics(events) -> RunMetrics:
+    metrics = RunMetrics()
+    replay(events, [metrics])
+    return metrics
+
+
 def test_metrics_from_events_expands_flow_batches():
-    metrics = metrics_from_events(e.as_dict() for e in _flow_batch_events())
+    metrics = _replayed_metrics(e.as_dict() for e in _flow_batch_events())
     flows = metrics.flows
     assert len(flows) == 3
     assert [f.nbytes for f in flows] == [100.0, 50.0, 7.0]
@@ -325,19 +331,18 @@ def test_metrics_from_events_expands_flow_batches():
 
 
 def test_live_collector_expands_flow_batches_like_replay():
-    from repro.monitor.collector import BusCollector
-
     bus = EventBus()
-    collector = BusCollector(bus)
+    live = RunMetrics()
+    tap(bus, [live])
     for e in _flow_batch_events():
         bus.publish(e.topic, _time=e.time, **e.fields)
-    replay = metrics_from_events(e.as_dict() for e in _flow_batch_events())
+    replayed = _replayed_metrics(e.as_dict() for e in _flow_batch_events())
     assert [
         (f.cls, f.nbytes, f.started, f.finished)
-        for f in collector.metrics.flows
+        for f in live.flows
     ] == [
         (f.cls, f.nbytes, f.started, f.finished)
-        for f in replay.flows
+        for f in replayed.flows
     ]
 
 
@@ -383,6 +388,8 @@ def test_span_stream_builder_matches_buffered_replay():
     recorded = []
     env.bus.subscribe("*", lambda e: recorded.append(e.as_dict()))
     tracer = SpanTracer(env)
+    tapped = SpanStreamBuilder()
+    tap(env.bus, [tapped])
     fabric = Fabric(env)
     fabric.attach("a.nic", 1e6, node="a")
     fabric.attach("b.nic", 1e6, node="b")
@@ -397,11 +404,10 @@ def test_span_stream_builder_matches_buffered_replay():
     env.run()
     tracer.finalize()
 
-    # Buffered replay (thin wrapper) vs explicit streaming feed.
-    buffered = spans_from_events(recorded)
+    # The same fold, tapped live vs replayed from the recording.
+    buffered = tapped.result()
     builder = SpanStreamBuilder()
-    for ev in recorded:
-        builder.feed(ev)
+    replay(recorded, [builder])
     streamed = builder.result()
     assert [
         (s.span_id, s.trace_id, s.parent_id, s.name, s.start, s.end, s.status)

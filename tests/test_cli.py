@@ -99,3 +99,55 @@ def test_cli_simulate_small():
     )
     assert code == 0
     assert "LOBSTER RUN REPORT" in text
+
+
+# --------------------------------------------------- replay error paths
+REPLAY_COMMANDS = {
+    "events": lambda path, tmp: ["events", path],
+    "trace": lambda path, tmp: ["trace", "--replay", path],
+    "dash": lambda path, tmp: ["dash", "--replay", path, "--out", str(tmp / "d.html")],
+    "watch": lambda path, tmp: ["watch", "--replay", path, "--out", str(tmp / "w.html")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_COMMANDS))
+def test_replay_of_missing_file_exits(command, tmp_path):
+    path = str(tmp_path / "absent.jsonl")
+    with pytest.raises(SystemExit, match="absent.jsonl"):
+        run_cli(REPLAY_COMMANDS[command](path, tmp_path))
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_COMMANDS))
+def test_replay_of_truncated_stream_exits(command, tmp_path):
+    path = tmp_path / "cut.jsonl"
+    path.write_text(
+        '{"t": 1.0, "topic": "task.start", "running": 1}\n'
+        '{"t": 2.0, "topic": "task.done", "runn'
+    )
+    with pytest.raises(SystemExit, match="not a valid event stream"):
+        run_cli(REPLAY_COMMANDS[command](str(path), tmp_path))
+
+
+# ------------------------------------------------ trace: live == replay
+def test_cli_trace_live_matches_replay(tmp_path):
+    """A live ``trace`` and a ``trace --replay`` of its recording write
+    byte-identical span and Chrome-trace files."""
+    events = str(tmp_path / "run.jsonl")
+    outs = {
+        mode: (str(tmp_path / f"{mode}.jsonl"), str(tmp_path / f"{mode}.json"))
+        for mode in ("live", "replay")
+    }
+    code, text = run_cli([
+        "trace", "--events", "2000", "--workers", "2", "--events-out", events,
+        "--spans-out", outs["live"][0], "--chrome-out", outs["live"][1],
+    ])
+    assert code == 0
+    assert " 0 orphans" in text
+    code, _ = run_cli([
+        "trace", "--replay", events,
+        "--spans-out", outs["replay"][0], "--chrome-out", outs["replay"][1],
+    ])
+    assert code == 0
+    for live, replayed in zip(outs["live"], outs["replay"]):
+        with open(live, "rb") as a, open(replayed, "rb") as b:
+            assert a.read() == b.read(), live

@@ -15,10 +15,11 @@ import pytest
 from repro.cli import main
 from repro.desim import Environment, EventBus, Topics
 from repro.monitor import (
-    BusCollector,
-    RollupCollector,
+    Rollup,
+    RunMetrics,
     SpanTracer,
     render_dashboard,
+    tap,
     write_dashboard,
 )
 from repro.scenarios import execute_prepared, prepare_chaos
@@ -45,14 +46,15 @@ def chaos_artifacts():
     """One small faulty run shared by the rendering tests."""
     env = Environment()
     tracer = SpanTracer(env)
-    collector = RollupCollector(env.bus)
+    rollup = Rollup()
+    tap(env.bus, [rollup])
     prepared = prepare_chaos(
         files=15, machines=6, cores=4, seed=7,
         bit_rot=1, truncate=1, duplicates=1, env=env,
     )
     execute_prepared(prepared, settle=300.0)
     tracer.finalize()
-    return collector.rollup, prepared.run.metrics, list(tracer.spans), env
+    return rollup, prepared.run.metrics, list(tracer.spans), env
 
 
 # -------------------------------------------------------------- renderer
@@ -72,6 +74,24 @@ def test_render_is_complete_standalone_html(chaos_artifacts):
     # No external fetches: a single self-contained file.
     assert "http://" not in html and "https://" not in html
     assert "<script" not in html
+
+
+def test_chaos_panel_breaks_requeues_down_by_reason(chaos_artifacts):
+    rollup, metrics, spans, env = chaos_artifacts
+    assert rollup.requeues_by_reason == metrics.requeues_by_reason
+    html = render_dashboard(rollup)
+    reasons = ", ".join(
+        f"{reason} {n}"
+        for reason, n in sorted(
+            rollup.requeues_by_reason.items(), key=lambda kv: (-kv[1], kv[0])
+        )
+    )
+    total = sum(rollup.requeues_by_reason.values())
+    assert total > 0
+    assert (
+        f'<div class="v">{total}</div><div class="k">requeues ({reasons})</div>'
+        in html
+    )
 
 
 def test_every_evidence_link_resolves_to_an_anchor(chaos_artifacts):
@@ -220,13 +240,13 @@ def test_telemetry_panel_reports_true_bus_totals():
     """The dashboard's bus figures must include port/raw emits (the
     fast paths legacy counters used to miss)."""
     bus = EventBus()
-    BusCollector(bus)  # subscribes the full monitoring topic set
-    rollup_collector = RollupCollector(bus)
+    rollup = Rollup()
+    tap(bus, [RunMetrics(), rollup])  # the full monitoring topic set
     port = bus.port(Topics.TASK_START)
     for i in range(5):
         port.emit(running=i)
     stats = bus.stats()
     assert stats["published"] == 5
     assert stats["delivered"] > 0
-    html = render_dashboard(rollup_collector.rollup, bus_stats=stats)
+    html = render_dashboard(rollup, bus_stats=stats)
     assert f"{stats['published']:,}" in html or str(stats["published"]) in html

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import MergeMode
 from repro.desim import Environment
-from repro.monitor import RollupCollector, SpanTracer, critical_path, render_dashboard
+from repro.monitor import Rollup, SpanTracer, critical_path, render_dashboard, tap
 from repro.net import TrafficClass
 from repro.scenarios import simulation_scenario
 
@@ -21,7 +21,8 @@ MERGE = TrafficClass.MERGE
 @pytest.fixture(scope="module")
 def hadoop_campaign():
     env = Environment()
-    streaming = RollupCollector(env.bus)
+    rollup = Rollup()
+    tap(env.bus, [rollup])
     tracer = SpanTracer(env)
     result = simulation_scenario(
         n_machines=4,
@@ -35,7 +36,7 @@ def hadoop_campaign():
         env=env,
     )
     tracer.finalize()
-    return result, streaming.rollup, tracer
+    return result, rollup, tracer
 
 
 def test_merge_bytes_agree_across_fabric_rollup_and_metrics(hadoop_campaign):

@@ -81,12 +81,13 @@ def test_monitor_importable_without_substrate_layers():
 
 def test_collector_feeds_metrics_from_bus_events():
     """End-to-end inversion check: publishing the scheduler's topics onto
-    a bare bus (no scheduler imported) populates RunMetrics."""
+    a bare bus (no scheduler imported) populates a tapped RunMetrics."""
     from repro.desim import EventBus, Topics
-    from repro.monitor import BusCollector
+    from repro.monitor import RunMetrics, tap
 
     bus = EventBus()
-    collector = BusCollector(bus)
+    m = RunMetrics()
+    subscription = tap(bus, [m])
     bus.publish(Topics.TASK_START, _time=1.0, running=1)
     bus.publish(
         Topics.TASK_RESULT,
@@ -107,23 +108,25 @@ def test_collector_feeds_metrics_from_bus_events():
     bus.publish(Topics.TASK_DONE, _time=9.0, task_id=1, ok=True, running=0)
     bus.publish(Topics.EVICTION, _time=10.0, slot="slot0")
 
-    m = collector.metrics
     assert m.n_tasks == 1 and m.n_succeeded() == 1
     assert m.records[0].segments["cpu"] == 7.0
     assert list(zip(m.running.times, m.running.values)) == [(1.0, 1.0), (9.0, 0.0)]
     assert m.evictions_seen == 1
 
-    collector.close()
+    subscription.close()
     bus.publish(Topics.EVICTION, _time=11.0, slot="slot1")
     assert m.evictions_seen == 1  # detached
 
 
 def test_collector_workflow_filter():
+    """The multi-run filter lives in ``tap``: a filtered RunMetrics only
+    sees its own workflow's tasks."""
     from repro.desim import EventBus, Topics
-    from repro.monitor import BusCollector
+    from repro.monitor import RunMetrics, tap
 
     bus = EventBus()
-    mine = BusCollector(bus, workflows=["wf-a"])
+    mine = RunMetrics()
+    tap(bus, [mine], workflows=["wf-a"])
     fields = dict(
         category="analysis",
         exit_code=0,
@@ -138,13 +141,13 @@ def test_collector_workflow_filter():
     )
     bus.publish(Topics.TASK_RESULT, _time=1.0, workflow="wf-a", task_id=1, **fields)
     bus.publish(Topics.TASK_RESULT, _time=1.0, workflow="wf-b", task_id=2, **fields)
-    assert [r.task_id for r in mine.metrics.records] == [1]
+    assert [r.task_id for r in mine.records] == [1]
 
 
 def test_metrics_from_events_round_trips_jsonl(tmp_path):
-    """Record events through a JsonlSink, reload, rebuild metrics."""
+    """Record events through a JsonlSink, reload, replay into metrics."""
     from repro.desim import EventBus, Topics
-    from repro.monitor import JsonlSink, load_events, metrics_from_events
+    from repro.monitor import JsonlSink, RunMetrics, load_events, replay
 
     path = tmp_path / "events.jsonl"
     bus = EventBus()
@@ -169,7 +172,8 @@ def test_metrics_from_events_round_trips_jsonl(tmp_path):
         )
     events = load_events(str(path))
     assert sink.count == len(events) == 2
-    m = metrics_from_events(events)
+    m = RunMetrics()
+    replay(events, [m])
     assert m.n_tasks == 1
     assert m.records[0].task_id == 4
     assert m.records[0].segments == {"cpu": 3.0}
@@ -177,16 +181,17 @@ def test_metrics_from_events_round_trips_jsonl(tmp_path):
 
 
 def test_two_filtered_collectors_one_bus_split_attributed_events():
-    """Two runs share one bus; each filtered collector must see only its
-    own evictions, exhaustions, fallbacks, integrity events, and
-    duplicates — not just its own task results.  Unattributed (legacy)
-    events reach both."""
+    """Two runs share one bus; each filtered tap must see only its own
+    evictions, exhaustions, fallbacks, integrity events, and duplicates —
+    not just its own task results.  Unattributed (legacy) events reach
+    both."""
     from repro.desim import EventBus, Topics
-    from repro.monitor import BusCollector
+    from repro.monitor import RunMetrics, tap
 
     bus = EventBus()
-    a = BusCollector(bus, workflows=["wf-a"])
-    b = BusCollector(bus, workflows=["wf-b"])
+    a, b = RunMetrics(), RunMetrics()
+    tap(bus, [a], workflows=["wf-a"])
+    tap(bus, [b], workflows=["wf-b"])
 
     # Single-label producers stamp ``workflow=``.
     bus.publish(Topics.TASK_EXHAUSTED, _time=1.0, workflow="wf-a", task_id=1)
@@ -204,25 +209,25 @@ def test_two_filtered_collectors_one_bus_split_attributed_events():
     bus.publish(Topics.EVICTION, _time=8.0, slot="legacy")
     bus.publish(Topics.TASK_EXHAUSTED, _time=9.0, task_id=9)
 
-    assert a.metrics.tasks_exhausted == 2  # wf-a + unattributed
-    assert b.metrics.tasks_exhausted == 1  # unattributed only
-    assert len(a.metrics.duplicates_dropped) == 0
-    assert len(b.metrics.duplicates_dropped) == 1
-    assert len(a.metrics.stream_fallbacks) == 1
-    assert len(b.metrics.stream_fallbacks) == 0
-    assert len(a.metrics.integrity_corrupt) == 0
-    assert len(b.metrics.integrity_corrupt) == 1
-    assert a.metrics.evictions_seen == 3  # s0 + shared + legacy
-    assert b.metrics.evictions_seen == 3  # s1 + shared + legacy
+    assert a.tasks_exhausted == 2  # wf-a + unattributed
+    assert b.tasks_exhausted == 1  # unattributed only
+    assert len(a.duplicates_dropped) == 0
+    assert len(b.duplicates_dropped) == 1
+    assert len(a.stream_fallbacks) == 1
+    assert len(b.stream_fallbacks) == 0
+    assert len(a.integrity_corrupt) == 0
+    assert len(b.integrity_corrupt) == 1
+    assert a.evictions_seen == 3  # s0 + shared + legacy
+    assert b.evictions_seen == 3  # s1 + shared + legacy
 
 
 def test_pool_evictions_are_workflow_attributed_end_to_end():
     """CondorPool(workflows=...) stamps its eviction events so a filtered
-    collector on a shared bus no longer overcounts foreign evictions."""
+    tap on a shared bus no longer overcounts foreign evictions."""
     from repro.batch import CondorPool, GlideinRequest, MachinePool
     from repro.desim import Environment, Interrupt, Topics
     from repro.distributions import ConstantHazardEviction
-    from repro.monitor import BusCollector
+    from repro.monitor import RunMetrics, tap
 
     HOUR = 3600.0
     env = Environment()
@@ -234,8 +239,9 @@ def test_pool_evictions_are_workflow_attributed_end_to_end():
         seed=3,
         workflows=["wf-a"],
     )
-    mine = BusCollector(env.bus, workflows=["wf-a"])
-    other = BusCollector(env.bus, workflows=["wf-z"])
+    mine, other = RunMetrics(), RunMetrics()
+    tap(env.bus, [mine], workflows=["wf-a"])
+    tap(env.bus, [other], workflows=["wf-z"])
     seen = []
     env.bus.subscribe(Topics.EVICTION, lambda ev: seen.append(ev.fields))
 
@@ -253,5 +259,5 @@ def test_pool_evictions_are_workflow_attributed_end_to_end():
 
     assert pool.total_evictions >= 2
     assert seen and all(f.get("workflows") == ["wf-a"] for f in seen)
-    assert mine.metrics.evictions_seen == pool.total_evictions
-    assert other.metrics.evictions_seen == 0
+    assert mine.evictions_seen == pool.total_evictions
+    assert other.evictions_seen == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Services
 from repro.desim import Environment, Topics
-from repro.monitor import BusCollector
+from repro.monitor import RunMetrics, tap
 from repro.net import (
     Fabric,
     LinkDown,
@@ -180,13 +180,13 @@ def test_per_class_byte_accounting():
 
 def test_net_flow_events_feed_bus_collector():
     env = Environment()
-    collector = BusCollector(env.bus)
+    m = RunMetrics()
+    tap(env.bus, [m])
     fabric = Fabric(env)
     link = fabric.attach("l", 100.0)
     link.transfer(60.0, cls=TrafficClass.XROOTD)
     link.transfer(40.0, cls=TrafficClass.OUTPUT)
     env.run()
-    m = collector.metrics
     assert len(m.flows) == 2
     totals = m.flow_bytes_by_class()
     assert totals[TrafficClass.XROOTD] == pytest.approx(60.0)

@@ -16,8 +16,14 @@ import pytest
 
 from repro.desim import Environment
 from repro.desim.bus import MemorySink
-from repro.monitor import Rollup, rollup_from_events, split_events_by_window
+from repro.monitor import Rollup, replay, split_events_by_window
 from repro.scenarios import execute_prepared, prepare_chaos, prepare_quickstart
+
+
+def rollup_of(events) -> Rollup:
+    rollup = Rollup()
+    replay(events, [rollup])
+    return rollup
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +81,7 @@ def assert_rollups_identical(got: Rollup, want: Rollup) -> None:
     assert got.breakdown.as_dict() == want.breakdown.as_dict()
     assert got.overall_efficiency() == want.overall_efficiency()
     assert got.evictions == want.evictions
+    assert got.requeues_by_reason == want.requeues_by_reason
     assert got.faults_injected == want.faults_injected
     assert got.faults_cleared == want.faults_cleared
     assert got.tasks_exhausted == want.tasks_exhausted
@@ -104,11 +111,11 @@ def assert_rollups_identical(got: Rollup, want: Rollup) -> None:
 
 @pytest.mark.parametrize("parts", [2, 4, 8])
 def test_merge_parity_chaos(chaos_events, parts):
-    single = rollup_from_events(chaos_events)
+    single = rollup_of(chaos_events)
     assert single.n_tasks > 0 and single.n_flows > 0
     buckets = split_events_by_window(chaos_events, parts)
     assert sum(len(b) for b in buckets) == len(chaos_events)
-    partials = [rollup_from_events(b) for b in buckets]
+    partials = [rollup_of(b) for b in buckets]
     assert sum(1 for p in partials if p.events_seen) > 1  # a real split
     merged = Rollup.merge(partials)
     assert_rollups_identical(merged, single)
@@ -116,9 +123,9 @@ def test_merge_parity_chaos(chaos_events, parts):
 
 @pytest.mark.parametrize("parts", [2, 4, 8])
 def test_merge_parity_quickstart(quickstart_events, parts):
-    single = rollup_from_events(quickstart_events)
+    single = rollup_of(quickstart_events)
     merged = Rollup.merge(
-        [rollup_from_events(b) for b in split_events_by_window(quickstart_events, parts)]
+        [rollup_of(b) for b in split_events_by_window(quickstart_events, parts)]
     )
     assert_rollups_identical(merged, single)
 
@@ -127,16 +134,16 @@ def test_merge_order_of_partials_does_not_matter_for_cells(chaos_events):
     """Disjoint window ownership makes cell contents order-independent;
     only stream-ordered state (narration tail, final running level)
     requires partials in order, so that's how merge is specified."""
-    single = rollup_from_events(chaos_events)
+    single = rollup_of(chaos_events)
     buckets = split_events_by_window(chaos_events, 4)
-    partials = [rollup_from_events(b) for b in buckets]
+    partials = [rollup_of(b) for b in buckets]
     merged = Rollup.merge(partials)
     assert_rollups_identical(merged, single)
 
 
 def test_merge_single_partial_is_identity(chaos_events):
-    single = rollup_from_events(chaos_events)
-    merged = Rollup.merge([rollup_from_events(chaos_events)])
+    single = rollup_of(chaos_events)
+    merged = Rollup.merge([rollup_of(chaos_events)])
     assert_rollups_identical(merged, single)
 
 
@@ -150,7 +157,7 @@ def test_merge_rejects_empty_and_mixed_widths():
 def test_split_empty_stream():
     buckets = split_events_by_window([], 4)
     assert buckets == [[], [], [], []]
-    merged = Rollup.merge([rollup_from_events(b) for b in buckets])
+    merged = Rollup.merge([rollup_of(b) for b in buckets])
     assert merged.events_seen == 0
     assert merged.n_tasks == 0
 

@@ -6,8 +6,8 @@ Covers the ``repro.monitor.tracing`` package at three levels:
   auto-closing of abandoned descendants, root lifecycles, orphan checks;
 * wq integration — every task attempt becomes a span tree under its
   work-unit root, retries link to the attempt they replace;
-* offline parity — ``spans_from_events`` rebuilds the exact span list
-  from a bus recording, and the Chrome-trace export is byte-identical
+* offline parity — a replayed ``SpanStreamBuilder`` rebuilds the exact
+  span list from a bus recording, and the Chrome-trace export is byte-identical
   across two identically seeded runs.
 """
 
@@ -17,9 +17,10 @@ from repro.analysis.report import ExitCode
 from repro.batch.machines import Machine
 from repro.desim import Environment, MemorySink
 from repro.monitor import (
+    SpanStreamBuilder,
     SpanTracer,
     chrome_trace,
-    spans_from_events,
+    replay,
     write_chrome_trace,
 )
 from repro.monitor.tracing import ROOT_NAMES
@@ -235,7 +236,9 @@ def _traced_run(seed=11):
 def test_spans_from_events_matches_live_tracer():
     tracer, sink = _traced_run()
     events = [e.as_dict() for e in sink.events]
-    rebuilt = spans_from_events(events)
+    builder = SpanStreamBuilder()
+    replay(events, [builder])
+    rebuilt = builder.result()
     assert [s.as_dict() for s in rebuilt] == [s.as_dict() for s in tracer.spans]
 
 

@@ -14,11 +14,12 @@ from repro.desim.bus import Topics
 from repro.monitor import (
     DEFAULT_DETECTORS,
     DetectorSpec,
-    RollupCollector,
+    Rollup,
     RunWatcher,
     SpanTracer,
     WatchEngine,
     render_report,
+    tap,
 )
 from repro.monitor.watch import WATCH_TOPICS
 from repro.scenarios import execute_prepared, prepare_chaos, prepare_quickstart
@@ -192,12 +193,13 @@ def chaos_watch():
     """One chaos run with the full observer stack attached."""
     env = Environment()
     tracer = SpanTracer(env)
-    collector = RollupCollector(env.bus)
+    rollup = Rollup()
+    tap(env.bus, [rollup])
     watcher = RunWatcher(env.bus)
     prepared = prepare_chaos(files=60, machines=12, cores=4, seed=5, env=env)
     execute_prepared(prepared, settle=300.0)
     tracer.finalize()
-    return prepared.run, watcher, collector.rollup, tracer
+    return prepared.run, watcher, rollup, tracer
 
 
 def test_clean_quickstart_is_alert_silent():
@@ -247,7 +249,10 @@ def test_watcher_samples_bus_stats_per_window(chaos_watch):
     assert times == sorted(times)
 
 
-def test_cli_watch_live_then_replay_byte_identical(tmp_path):
+@pytest.fixture(scope="module")
+def cli_watch_chaos(tmp_path_factory):
+    """``repro watch`` on the chaos scenario, live and then replayed from
+    the live run's recording."""
     import io
 
     from repro.cli import main
@@ -256,30 +261,45 @@ def test_cli_watch_live_then_replay_byte_identical(tmp_path):
         out = io.StringIO()
         return main(argv, out=out), out.getvalue()
 
-    events = str(tmp_path / "events.jsonl")
-    live_json = str(tmp_path / "alerts_live.json")
-    replay_json = str(tmp_path / "alerts_replay.json")
-    code, text = run_cli([
+    tmp = tmp_path_factory.mktemp("watch")
+    events = str(tmp / "events.jsonl")
+    live = run_cli([
         "watch", "--scenario", "chaos", "--seed", "5",
         "--param", "files=60", "--param", "machines=12", "--param", "cores=4",
-        "--events-out", events, "--alerts-out", live_json,
+        "--events-out", events, "--alerts-out", str(tmp / "alerts_live.json"),
         "--refresh-every", "1800", "--fail-on-alert",
-        "--out", str(tmp_path / "watch.html"),
+        "--out", str(tmp / "watch.html"),
     ])
+    replay = run_cli([
+        "watch", "--replay", events,
+        "--alerts-out", str(tmp / "alerts_replay.json"),
+        "--out", str(tmp / "watch_replay.html"),
+    ])
+    return tmp, live, replay
+
+
+def test_cli_watch_live_then_replay_byte_identical(cli_watch_chaos):
+    tmp, (code, text), (replay_code, _) = cli_watch_chaos
     assert code == 1  # chaos raised alerts and --fail-on-alert was set
     assert "ALERT RAISE" in text
     assert "mid-run refreshes" in text
-    html = open(tmp_path / "watch.html", encoding="utf-8").read()
+    html = open(tmp / "watch.html", encoding="utf-8").read()
     assert "Live run health" in html
 
-    code, text = run_cli([
-        "watch", "--replay", events, "--alerts-out", replay_json,
-        "--out", str(tmp_path / "watch_replay.html"),
-    ])
-    assert code == 0
-    live_bytes = open(live_json, "rb").read()
-    assert live_bytes == open(replay_json, "rb").read()
+    assert replay_code == 0
+    live_bytes = open(tmp / "alerts_live.json", "rb").read()
+    assert live_bytes == open(tmp / "alerts_replay.json", "rb").read()
     assert live_bytes  # non-empty stream
+
+
+def test_cli_watch_live_and_replay_dashboards_carry_diagnosis(cli_watch_chaos):
+    """Live and replay feed the same folds, so both dashboards carry the
+    §5 diagnosis panel (exact metrics) next to the watch panel."""
+    tmp = cli_watch_chaos[0]
+    for name in ("watch.html", "watch_replay.html"):
+        html = open(tmp / name, encoding="utf-8").read()
+        assert "Troubleshooting (§5 heuristics)" in html, name
+        assert "Live run health" in html, name
 
 
 def test_cli_watch_clean_quickstart_exits_zero(tmp_path):

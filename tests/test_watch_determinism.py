@@ -2,7 +2,7 @@
 
 The watch engine is a pure fold of the event stream: a live
 :class:`~repro.monitor.RunWatcher` and an offline
-:func:`~repro.monitor.alerts_from_events` replay of the same recording
+:func:`~repro.monitor.replay` of the same recording through a fresh engine
 must serialise to *byte-identical* alert streams; a sweep over DES
 scenarios must report identical ``alerts_raised`` metrics under
 ``jobs=1`` and ``jobs=N``; and because the watcher subscribes to the
@@ -16,7 +16,7 @@ import pytest
 
 from repro.desim import Environment
 from repro.desim.bus import MemorySink
-from repro.monitor import RunWatcher, SpanTracer, alerts_from_events
+from repro.monitor import RunWatcher, SpanTracer, WatchEngine, replay
 from repro.scenarios import (
     execute_prepared,
     prepare_chaos,
@@ -24,6 +24,12 @@ from repro.scenarios import (
 )
 from repro.sweep import Axis, SweepSpec, Variant, run_sweep
 from repro.testing import reset_id_counters
+
+
+def replayed_engine(events) -> WatchEngine:
+    engine = WatchEngine()
+    replay(events, [engine])
+    return engine
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +49,7 @@ def chaos_recording():
 def test_live_and_replay_alert_streams_are_byte_identical(chaos_recording):
     events, live_engine = chaos_recording
     assert live_engine.alerts, "fixture run raised no alerts to compare"
-    replay = alerts_from_events(events)
+    replay = replayed_engine(events)
     assert json.dumps(live_engine.alerts, sort_keys=True) == json.dumps(
         replay.alerts, sort_keys=True
     )
@@ -51,8 +57,8 @@ def test_live_and_replay_alert_streams_are_byte_identical(chaos_recording):
 
 def test_replay_is_idempotent(chaos_recording):
     events, _ = chaos_recording
-    a = alerts_from_events(events).alerts
-    b = alerts_from_events(events).alerts
+    a = replayed_engine(events).alerts
+    b = replayed_engine(events).alerts
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
