@@ -3,35 +3,45 @@
 Mirrors the real Lobster's operational entry points on the simulated
 substrate:
 
-* ``quickstart`` — a tiny end-to-end MC run with a final report,
-* ``simulate``   — a Monte-Carlo production run (Fig 11 conditions),
-* ``process``    — a data-processing run over a synthetic dataset
-  (Fig 10 conditions, optional WAN outage),
-* ``chaos``      — a data run under injected faults (black-hole node,
-  WAN flaps, squid crash, eviction burst) with active recovery engaged;
-  ``--master-crash-at`` additionally kills the Lobster master itself
-  and warm-restarts the campaign from its DB,
+* ``run``        — build a DES scenario from the sweep registry
+  (``quickstart``, ``simulate``, ``process``, ``chaos``,
+  ``data_processing``, ``simulation``) with ``--param KEY=VALUE``
+  overrides, drive it to completion and print the run report; a
+  planned master crash (``chaos --param master_crash_at=S``) is
+  warm-restarted from the Lobster DB and the campaign resumes,
+* ``replay``     — fold a JSONL event recording (written by
+  ``run --events-out``) through the monitoring heuristics,
 * ``crashtest``  — the crash-consistency fuzzer: kill the master at
   every (or sampled) durable checkpoint and assert the warm restart
   converges to the uninterrupted run's published outputs,
 * ``tasksize``   — the §4.1 task-size optimiser,
 * ``profiles``   — list the bundled analysis-code profiles,
-* ``events``     — replay a recorded JSONL event stream through the
-  monitoring heuristics (record one with ``--events-out``),
-* ``trace``      — run (or replay) with causal tracing: emit span files,
-  attribute the makespan to its critical path, and print an
-  evidence-backed diagnosis,
+* ``topology``   — print the network fabric a run would use,
 * ``sweep``      — expand a declarative :class:`~repro.sweep.SweepSpec`
   (JSON or Python file) into its run matrix, execute it across worker
-  processes, and write a machine-readable ``BENCH_sweep.json``,
-* ``dash``       — render any run (live scenario or JSONL recording)
-  into a single static HTML ops dashboard built from streaming,
+  processes, and write a machine-readable ``BENCH_sweep.json``.
+
+``run`` and ``replay`` share one set of output flags, and each flag
+names the monitor folds it needs (:data:`_NEEDS`):
+
+* ``--spans-out`` / ``--chrome-out`` — causal spans as JSONL or a
+  Chrome/Perfetto trace, the makespan's critical path, and §5 findings
+  with evidence spans,
+* ``--dash-out`` — the static HTML ops dashboard built from streaming,
   bounded-memory rollups (``repro.monitor.rollup``),
-* ``watch``      — run (or ``--replay``) with the live run-health
-  engine attached: streaming §5 detectors raise typed
-  ``alert.raise``/``alert.clear`` events with evidence span ids, the
-  dashboard re-renders atomically mid-run, and the alert stream is
-  replay-deterministic (``repro.monitor.watch``).
+* ``--check-parity`` — the rollup checked bit-for-bit against the
+  exact ``RunMetrics`` reduction,
+* ``--watch`` / ``--alerts-out`` / ``--fail-on-alert`` /
+  ``--refresh-every`` — the run-health engine: streaming §5 detectors
+  raise typed ``alert.raise``/``alert.clear`` events with evidence span
+  ids, and the dashboard re-renders atomically at window closes
+  (``repro.monitor.watch``).
+
+The driver taps the union of those folds onto a live run's bus (with a
+:class:`~repro.monitor.SpanTracer` only when spans are needed) or
+replays a recording through them, and writes every output from the
+folds; a live run and a replay of its recording therefore write the
+same span files, Chrome trace and alert stream.
 
 The run scenarios themselves live in :mod:`repro.scenarios` — the same
 builders feed the figure benchmarks and the sweep engine, so a CLI run,
@@ -44,12 +54,43 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from typing import List, Optional
 
 __all__ = ["main", "build_parser"]
 
 HOUR = 3600.0
 GBIT = 125_000_000.0
+
+
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    """The output flags ``run`` and ``replay`` share."""
+    p.add_argument("--spans-out", default=None, metavar="PATH",
+                   help="write one span per line as JSONL")
+    p.add_argument("--chrome-out", default=None, metavar="PATH",
+                   help="write a Chrome trace-event / Perfetto JSON file")
+    p.add_argument("--dash-out", default=None, metavar="PATH",
+                   help="render the run's HTML ops dashboard")
+    p.add_argument("--window", type=float, default=1800.0, metavar="SECONDS",
+                   help="rollup and detector window width (default: 1800 s)")
+    p.add_argument("--check-parity", action="store_true",
+                   help="verify the streaming rollup bit-for-bit against "
+                        "the exact RunMetrics reduction and fail on drift")
+    p.add_argument("--watch", action="store_true",
+                   help="run the §5 health detectors and print their alerts")
+    p.add_argument("--alerts-out", default=None, metavar="PATH",
+                   help="write the alert stream as a JSON array "
+                        "(implies --watch)")
+    p.add_argument("--refresh-every", type=float, default=None,
+                   metavar="SIMSECONDS",
+                   help="re-render --dash-out every N simulated seconds "
+                        "(quantised to window closes; atomic os.replace; "
+                        "implies --watch)")
+    p.add_argument("--fail-on-alert", action="store_true",
+                   help="exit 1 if any alert was raised (implies --watch)")
+    p.add_argument("--top", type=int, default=10,
+                   help="show the N most frequent topics and the N largest "
+                        "critical-path contributors")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,39 +100,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("quickstart", help="tiny end-to-end MC run")
-    q.add_argument("--events", type=int, default=50_000)
-    q.add_argument("--workers", type=int, default=10)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--events-out", default=None, metavar="PATH",
+    r = sub.add_parser(
+        "run", help="run a DES scenario from the sweep registry and report"
+    )
+    r.add_argument("scenario", metavar="SCENARIO",
+                   help="sweep-registry DES scenario: quickstart, simulate, "
+                        "process, chaos, data_processing or simulation")
+    r.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
+                   help="scenario parameter override (repeatable)")
+    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--events-out", default=None, metavar="PATH",
                    help="record the run's bus events to a JSONL file")
-    q.add_argument("--dash-out", default=None, metavar="PATH",
-                   help="also render the run's HTML ops dashboard")
+    _add_output_flags(r)
 
-    s = sub.add_parser("simulate", help="Monte-Carlo production run")
-    s.add_argument("--events", type=int, default=1_000_000)
-    s.add_argument("--machines", type=int, default=50)
-    s.add_argument("--cores", type=int, default=8)
-    s.add_argument("--profile", default="digi-reco-mc")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--events-out", default=None, metavar="PATH",
-                   help="record the run's bus events to a JSONL file")
-    s.add_argument("--dash-out", default=None, metavar="PATH",
-                   help="also render the run's HTML ops dashboard")
-
-    p = sub.add_parser("process", help="data-processing run over a synthetic dataset")
-    p.add_argument("--files", type=int, default=200)
-    p.add_argument("--machines", type=int, default=25)
-    p.add_argument("--cores", type=int, default=8)
-    p.add_argument("--profile", default="ntuple")
-    p.add_argument("--wan-gbit", type=float, default=0.6)
-    p.add_argument("--outage-hours", type=float, default=0.0,
-                   help="inject a 1-hour WAN outage starting at this hour (0 = none)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--events-out", default=None, metavar="PATH",
-                   help="record the run's bus events to a JSONL file")
-    p.add_argument("--dash-out", default=None, metavar="PATH",
-                   help="also render the run's HTML ops dashboard")
+    rp = sub.add_parser(
+        "replay", help="fold a recorded JSONL event stream through monitoring"
+    )
+    rp.add_argument("path", help="JSONL file written by --events-out (or JsonlSink)")
+    _add_output_flags(rp)
 
     t = sub.add_parser("tasksize", help="run the section-4.1 task-size optimiser")
     t.add_argument("--tasklets", type=int, default=20_000)
@@ -100,30 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="constant")
     t.add_argument("--probability", type=float, default=0.1)
     t.add_argument("--seed", type=int, default=0)
-
-    c = sub.add_parser(
-        "chaos",
-        help="data run under injected faults with active recovery engaged",
-    )
-    c.add_argument("--files", type=int, default=60)
-    c.add_argument("--machines", type=int, default=12)
-    c.add_argument("--cores", type=int, default=4)
-    c.add_argument("--wan-gbit", type=float, default=1.0)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bit-rot", type=int, default=0, metavar="N",
-                   help="silently corrupt N committed files at rest")
-    c.add_argument("--truncate", type=int, default=0, metavar="N",
-                   help="truncate the next N output transfers")
-    c.add_argument("--duplicates", type=int, default=0, metavar="N",
-                   help="re-deliver N successful analysis results")
-    c.add_argument("--master-crash-at", type=float, default=None,
-                   metavar="SECONDS",
-                   help="kill the Lobster master at this simulated second "
-                        "and warm-restart the campaign from its DB")
-    c.add_argument("--events-out", default=None, metavar="PATH",
-                   help="record the run's bus events to a JSONL file")
-    c.add_argument("--dash-out", default=None, metavar="PATH",
-                   help="also render the run's HTML ops dashboard")
 
     ct = sub.add_parser(
         "crashtest",
@@ -158,33 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     topo.add_argument("--wan-gbit", type=float, default=0.6)
     topo.add_argument("--machines-per-switch", type=int, default=24)
 
-    e = sub.add_parser(
-        "events", help="replay a recorded JSONL event stream through monitoring"
-    )
-    e.add_argument("path", help="JSONL file written by --events-out (or JsonlSink)")
-    e.add_argument("--top", type=int, default=10,
-                   help="show the N most frequent topics")
-
-    tr = sub.add_parser(
-        "trace",
-        help="run (or replay) with causal tracing and analyze the span trees",
-    )
-    tr.add_argument("--events", type=int, default=50_000)
-    tr.add_argument("--workers", type=int, default=10)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--replay", default=None, metavar="PATH",
-                    help="rebuild spans from a JSONL event recording "
-                         "(written by --events-out) instead of running")
-    tr.add_argument("--spans-out", default=None, metavar="PATH",
-                    help="write one span per line as JSONL")
-    tr.add_argument("--chrome-out", default=None, metavar="PATH",
-                    help="write a Chrome trace-event / Perfetto JSON file")
-    tr.add_argument("--top", type=int, default=5,
-                    help="show the N largest critical-path contributors")
-    tr.add_argument("--events-out", default=None, metavar="PATH",
-                    help="record the traced run's bus events (incl. span "
-                         "events) to a JSONL file for later --replay")
-
     sw = sub.add_parser(
         "sweep",
         help="expand a declarative sweep spec and execute its run matrix",
@@ -206,152 +181,89 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--list", action="store_true", dest="list_only",
                     help="print the expanded run matrix and exit")
 
-    d = sub.add_parser(
-        "dash",
-        help="render a run (live scenario or JSONL recording) as an "
-             "HTML ops dashboard",
-    )
-    d.add_argument("--replay", default=None, metavar="PATH",
-                   help="render from a JSONL event recording (written by "
-                        "--events-out) instead of running a scenario")
-    d.add_argument("--scenario", default="quickstart", metavar="NAME",
-                   help="sweep-registry DES scenario to run live "
-                        "(default: quickstart)")
-    d.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                   help="scenario parameter override (repeatable)")
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--bin-width", type=float, default=1800.0, metavar="SECONDS",
-                   help="rollup window width (default: 1800 s)")
-    d.add_argument("--out", default="dash.html", metavar="PATH",
-                   help="where to write the dashboard HTML")
-    d.add_argument("--check-parity", action="store_true",
-                   help="verify the streaming rollup bit-for-bit against "
-                        "the exact RunMetrics reduction and fail on drift")
-
-    w = sub.add_parser(
-        "watch",
-        help="watch a run live: streaming §5 detectors, typed alerts, "
-             "and periodic atomic dashboard refresh",
-    )
-    w.add_argument("--replay", default=None, metavar="PATH",
-                   help="evaluate the detectors over a JSONL event "
-                        "recording (written by --events-out) instead of "
-                        "running a scenario; the alert stream is "
-                        "byte-identical to the live run that produced it")
-    w.add_argument("--scenario", default="quickstart", metavar="NAME",
-                   help="sweep-registry DES scenario to run live "
-                        "(default: quickstart)")
-    w.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                   help="scenario parameter override (repeatable)")
-    w.add_argument("--seed", type=int, default=0)
-    w.add_argument("--window", type=float, default=1800.0, metavar="SECONDS",
-                   help="detector window width (and dashboard bin width)")
-    w.add_argument("--refresh-every", type=float, default=None,
-                   metavar="SIMSECONDS",
-                   help="re-render the dashboard every N simulated seconds "
-                        "(quantised to window closes; atomic os.replace)")
-    w.add_argument("--out", default="watch.html", metavar="PATH",
-                   help="where to write the dashboard HTML")
-    w.add_argument("--alerts-out", default=None, metavar="PATH",
-                   help="write the alert stream as a JSON array")
-    w.add_argument("--events-out", default=None, metavar="PATH",
-                   help="also record the full event stream (live mode; "
-                        "alert.* events included)")
-    w.add_argument("--fail-on-alert", action="store_true",
-                   help="exit 1 if any alert was raised")
     return parser
 
 
-def _attach_events_sink(env, args):
-    """Attach a JSONL sink to the bus when ``--events-out`` was given."""
-    if getattr(args, "events_out", None) is None:
-        return None
-    from repro.monitor import JsonlSink
+#: The monitor folds each output flag needs; ``replay`` always folds
+#: ``metrics`` too.  Folds are tapped (or replayed) in the order
+#: rollup, metrics, spans, then the watch engine.
+_NEEDS = {
+    "spans_out": ("metrics", "spans"),
+    "chrome_out": ("metrics", "spans"),
+    "dash_out": ("rollup", "metrics", "spans"),
+    "check_parity": ("rollup", "metrics"),
+    "watch": ("engine",),
+    "alerts_out": ("engine",),
+    "refresh_every": ("engine",),
+    "fail_on_alert": ("engine",),
+}
 
-    try:
-        sink = JsonlSink(args.events_out)
-    except OSError as exc:
-        raise SystemExit(f"cannot write events to {args.events_out}: {exc}") from None
-    env.bus.attach(sink)
-    return sink
 
+class _Stream:
+    """The folds one command's output flags need, and what the outputs
+    read besides them: the dashboard title, the live bus (None on
+    replay), the watcher's bus timeline and the stream's end time."""
 
-def _finish(prepared, out, sink=None, dash_out=None) -> int:
-    """Drive a :class:`~repro.scenarios.PreparedRun` and print its report."""
-    from repro.monitor import render_report
-    from repro.scenarios import execute_prepared
+    def __init__(self, args):
+        from repro.monitor import Rollup, RunMetrics, SpanStreamBuilder, WatchEngine
 
-    rollup = tracer = None
-    if dash_out is not None:
-        from repro.monitor import Rollup, SpanTracer, tap
+        need = {"metrics"} if args.command == "replay" else set()
+        for flag, folds in _NEEDS.items():
+            value = getattr(args, flag)
+            if value is not None and value is not False:
+                need.update(folds)
+        self.rollup = Rollup(args.window) if "rollup" in need else None
+        self.metrics = RunMetrics() if "metrics" in need else None
+        self.spans = SpanStreamBuilder() if "spans" in need else None
+        self.engine = WatchEngine(window=args.window) if "engine" in need else None
+        self.title = ""
+        self.bus = None
+        self.bus_timeline = None
+        self.now: Optional[float] = None
+        self.refreshes = 0
 
-        rollup = Rollup()
-        tap(prepared.env.bus, [rollup])
-        tracer = SpanTracer(prepared.env)
-    # The settle window lets workers and glide-ins exit cleanly instead
-    # of being garbage-collected mid-yield.
-    execute_prepared(prepared, settle=300.0)
-    out.write(render_report(prepared.run) + "\n")
-    if sink is not None:
-        sink.close()
-        out.write(f"recorded {sink.count} events to {sink.path}\n")
-    if rollup is not None:
+    def folds(self) -> list:
+        """The folds tapped before a live run (the watch engine rides on
+        a ``RunWatcher`` tapped after them)."""
+        return [f for f in (self.rollup, self.metrics, self.spans) if f is not None]
+
+    def dashboard(self, path: str, **extra) -> None:
         from repro.monitor import write_dashboard
 
-        tracer.finalize()
-        labels = [wf.label for wf in prepared.run.config.workflows]
+        if self.engine is not None:
+            extra.update(alerts=self.engine.alerts,
+                         watch_history=self.engine.history)
         write_dashboard(
-            dash_out,
-            rollup,
-            metrics=prepared.run.metrics,
-            spans=list(tracer.spans),
-            bus_stats=prepared.env.bus.stats(),
-            title=", ".join(labels) or "repro run",
+            path,
+            self.rollup,
+            bus_stats=self.bus.stats() if self.bus is not None else None,
+            bus_timeline=self.bus_timeline,
+            **extra,
         )
-        out.write(f"dashboard written to {dash_out}\n")
-    return 0
 
 
-def _fold_stream(args, out, path, folds, live=None):
-    """Feed *folds* one event stream, recorded or live.
+def _refresh_at_window_closes(args, stream: _Stream) -> None:
+    """Re-render ``--dash-out`` from the rollup at the first window close
+    at least ``--refresh-every`` simulated seconds after the last one."""
+    engine = stream.engine
+    sample_bus = engine.on_window  # the RunWatcher's sampler (None on replay)
+    last = 0.0
 
-    With *path*, the JSONL recording is loaded once and replayed through
-    the folds in one pass; the loaded event dicts are returned.
-    Otherwise a live run is built: the ``--events-out`` sink and a span
-    tracer attach first, the folds are tapped in argument order, and
-    ``live(env)`` builds and drives the run; None is returned.
-    """
-    if path is not None:
-        from repro.monitor import load_events, replay
+    def on_window(w_idx: int, t: float) -> None:
+        nonlocal last
+        if sample_bus is not None:
+            sample_bus(w_idx, t)
+        if t - last >= args.refresh_every:
+            last = t
+            stream.dashboard(args.dash_out, title=f"{stream.title} (t={t:.0f}s)", now=t)
+            stream.refreshes += 1
 
-        try:
-            events = load_events(path)
-        except OSError as exc:
-            raise SystemExit(str(exc)) from None
-        except ValueError as exc:  # json.JSONDecodeError is a ValueError
-            raise SystemExit(f"{path}: not a valid event stream ({exc})") from None
-        replay(events, folds)
-        return events
-
-    from repro.desim import Environment
-    from repro.monitor import SpanTracer, tap
-
-    env = Environment()
-    sink = _attach_events_sink(env, args)
-    tracer = SpanTracer(env)
-    tap(env.bus, folds)
-    live(env)
-    tracer.finalize()
-    if sink is not None:
-        sink.close()
-        out.write(f"recorded {sink.count} events to {sink.path}\n")
-    return None
+    engine.on_window = on_window
 
 
 def _registry_scenario(args):
-    """Look up ``--scenario`` in the sweep registry; returns a
-    ``live(env)`` driver that builds it with the ``--param``
-    overrides (plus ``--seed``), and the seed it will run with."""
+    """Look up the ``run`` scenario in the sweep registry; returns it
+    and its parameters (``--param`` overrides plus ``--seed``)."""
     from repro.sweep import get_scenario, list_scenarios
 
     try:
@@ -365,126 +277,185 @@ def _registry_scenario(args):
         raise SystemExit(f"scenario {args.scenario!r} is not a DES run scenario")
     params = _parse_params(args.param)
     params.setdefault("seed", args.seed)
-
-    def live(env) -> None:
-        try:
-            scenario.build(env, **params)
-        except TypeError as exc:
-            raise SystemExit(f"scenario {args.scenario!r}: {exc}") from None
-
-    return live, params["seed"]
+    return scenario, params
 
 
-def cmd_quickstart(args, out) -> int:
-    from repro.desim import Environment
-    from repro.scenarios import prepare_quickstart
-
-    env = Environment()
-    sink = _attach_events_sink(env, args)
-    prepared = prepare_quickstart(
-        events=args.events, workers=args.workers, seed=args.seed, env=env
-    )
-    return _finish(prepared, out, sink=sink, dash_out=args.dash_out)
-
-
-def cmd_simulate(args, out) -> int:
-    from repro.analysis.profiles import profile
-    from repro.desim import Environment
-    from repro.scenarios import prepare_simulate
+def _replay_stream(args, out, stream: _Stream) -> None:
+    """Load the recording once, replay it through the folds in one pass
+    and print its summary."""
+    from repro.monitor import load_events, replay
 
     try:
-        code = profile(args.profile)
-    except KeyError as exc:
+        events = load_events(args.path)
+    except OSError as exc:
         raise SystemExit(str(exc)) from None
-    if code.kind.value != "simulation":
-        raise SystemExit(f"profile {args.profile!r} is not a simulation profile")
-    env = Environment()
-    sink = _attach_events_sink(env, args)
-    prepared = prepare_simulate(
-        code,
-        events=args.events,
-        machines=args.machines,
-        cores=args.cores,
-        seed=args.seed,
-        label=f"mc-{args.profile}",
-        env=env,
-    )
-    return _finish(prepared, out, sink=sink, dash_out=args.dash_out)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise SystemExit(f"{args.path}: not a valid event stream ({exc})") from None
+    stream.title = f"replay of {args.path}"
+    stream.now = max((float(e.get("t", 0.0)) for e in events), default=None)
+    if args.refresh_every is not None:
+        _refresh_at_window_closes(args, stream)
+    replay(events, stream.folds() + ([stream.engine] if stream.engine else []))
 
-
-def cmd_process(args, out) -> int:
-    from repro.analysis.profiles import profile
-    from repro.desim import Environment
-    from repro.scenarios import prepare_process
-
-    try:
-        code = profile(args.profile)
-    except KeyError as exc:
-        raise SystemExit(str(exc)) from None
-    if code.kind.value != "data-processing":
-        raise SystemExit(f"profile {args.profile!r} is not a data profile")
-    env = Environment()
-    sink = _attach_events_sink(env, args)
-    prepared = prepare_process(
-        code,
-        files=args.files,
-        machines=args.machines,
-        cores=args.cores,
-        wan_gbit=args.wan_gbit,
-        outage_hours=args.outage_hours,
-        seed=args.seed,
-        label=f"data-{args.profile}",
-        env=env,
-    )
-    return _finish(prepared, out, sink=sink, dash_out=args.dash_out)
-
-
-def cmd_chaos(args, out) -> int:
-    """A data run that survives a barrage of injected faults.
-
-    See :func:`repro.scenarios.prepare_chaos` for the fault schedule —
-    the same scenario is reachable declaratively as the sweep registry's
-    ``chaos`` scenario.
-    """
-    from repro.desim import Environment
-    from repro.scenarios import prepare_chaos
-
-    env = Environment()
-    sink = _attach_events_sink(env, args)
-    prepared = prepare_chaos(
-        files=args.files,
-        machines=args.machines,
-        cores=args.cores,
-        wan_gbit=args.wan_gbit,
-        seed=args.seed,
-        bit_rot=args.bit_rot,
-        truncate=args.truncate,
-        duplicates=args.duplicates,
-        master_crash_at=args.master_crash_at,
-        env=env,
-    )
-    if args.master_crash_at is None:
-        return _finish(prepared, out, sink=sink, dash_out=args.dash_out)
-
-    # Crash-and-recover flow: run until the MasterCrash fault kills the
-    # master, then warm-restart the campaign from the surviving Lobster
-    # DB and drive the resumed run to completion.
-    from repro.scenarios import execute_prepared, warm_restart
-
-    execute_prepared(prepared, settle=60.0)
-    if not prepared.run.crashed:
-        out.write(
-            f"campaign finished before t={args.master_crash_at:.0f}s — "
-            "the master was never crashed\n"
-        )
-        return _finish(prepared, out, sink=sink, dash_out=args.dash_out)
+    metrics = stream.metrics
+    out.write(f"{len(events)} events from {args.path}\n")
+    counts = Counter(ev.get("topic", "?") for ev in events)
+    for topic, n in counts.most_common(args.top):
+        out.write(f"  {topic:<18s} {n:8d}\n")
+    if len(counts) > args.top:
+        out.write(f"  ... and {len(counts) - args.top} more topics\n")
     out.write(
-        f"MASTER CRASHED at t={env.now:.0f}s "
-        f"({prepared.run.master.tasks_returned} task results banked so far)\n"
+        f"\ntask records: {metrics.n_tasks} "
+        f"({metrics.n_succeeded()} ok, {metrics.n_failed()} failed), "
+        f"evictions seen: {metrics.evictions_seen}\n"
     )
-    resumed = warm_restart(prepared)
-    out.write("WARM RESTART: recovering from the Lobster DB\n")
-    return _finish(resumed, out, sink=sink, dash_out=args.dash_out)
+    if metrics.n_tasks:
+        b = metrics.runtime_breakdown()
+        out.write(f"overall efficiency: {metrics.overall_efficiency():.1%}\n")
+        for label, hours, pct in b.rows():
+            out.write(f"  {label:<16s} {hours:9.2f} h  {pct:5.1f}%\n")
+
+
+def _run_stream(args, out, stream: _Stream) -> None:
+    """Build the registry scenario with the sink, tracer and folds
+    attached, drive it to completion and print its report."""
+    from repro.desim import Environment
+    from repro.monitor import JsonlSink, RunWatcher, SpanTracer, render_report, tap
+    from repro.scenarios import execute_campaign
+
+    scenario, params = _registry_scenario(args)
+    env = Environment()
+    sink = None
+    if args.events_out is not None:
+        try:
+            sink = JsonlSink(args.events_out)
+        except OSError as exc:
+            raise SystemExit(
+                f"cannot write events to {args.events_out}: {exc}"
+            ) from None
+        env.bus.attach(sink)
+    tracer = SpanTracer(env) if stream.spans is not None else None
+    tap(env.bus, stream.folds())
+    stream.title = f"{args.scenario} (seed {params['seed']})"
+    stream.bus = env.bus
+    if stream.engine is not None:
+        # Tapped after the folds, so alerts the watcher republishes
+        # reach them after the event that raised them.
+        stream.bus_timeline = RunWatcher(env.bus, stream.engine).bus_timeline
+        if args.refresh_every is not None:
+            _refresh_at_window_closes(args, stream)
+    try:
+        prepared = scenario.build(env, **params)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"scenario {args.scenario!r}: {exc}") from None
+    # The settle window lets workers and glide-ins exit cleanly instead
+    # of being garbage-collected mid-yield.
+    result = execute_campaign(prepared, settle=300.0, log=out.write)
+    if tracer is not None:
+        tracer.finalize()
+    stream.now = float(env.now)
+    out.write(render_report(result.run) + "\n")
+    if sink is not None:
+        sink.close()
+        out.write(f"recorded {sink.count} events to {sink.path}\n")
+
+
+def _fold_stream(args, out) -> int:
+    """``run`` and ``replay``: fold one event stream, live or recorded,
+    into the folds the output flags name, then write every output from
+    those folds."""
+    from repro.monitor import (
+        critical_path,
+        diagnose,
+        format_breakdown,
+        verify_parity,
+        work_coverage,
+        write_chrome_trace,
+        write_spans_jsonl,
+    )
+    from repro.monitor.tracing import orphan_spans
+
+    if args.refresh_every is not None and args.dash_out is None:
+        raise SystemExit("--refresh-every needs --dash-out")
+    stream = _Stream(args)
+    if args.command == "replay":
+        _replay_stream(args, out, stream)
+    else:
+        _run_stream(args, out, stream)
+    status = 0
+    spans = stream.spans.result() if stream.spans is not None else None
+
+    if args.spans_out is not None or args.chrome_out is not None:
+        traces = {s.trace_id for s in spans}
+        out.write(f"{len(spans)} spans across {len(traces)} traces, "
+                  f"{len(orphan_spans(spans))} orphans\n")
+        if args.spans_out is not None:
+            n = write_spans_jsonl(spans, args.spans_out)
+            out.write(f"wrote {n} spans to {args.spans_out}\n")
+        if args.chrome_out is not None:
+            n = write_chrome_trace(spans, args.chrome_out)
+            out.write(f"wrote {n} trace events to {args.chrome_out} "
+                      f"(open in chrome://tracing or ui.perfetto.dev)\n")
+        slices, makespan = critical_path(spans) if spans else ([], 0.0)
+        if slices:
+            out.write("\n" + format_breakdown(slices, makespan, top=args.top) + "\n")
+            out.write(
+                f"critical path covers {work_coverage(slices, makespan):.1%} "
+                f"of the {makespan:.0f}s makespan\n"
+            )
+
+    metrics = stream.metrics
+    if args.command == "replay" or spans is not None:
+        # A live run's report carries the plain findings; spans add evidence.
+        findings = diagnose(metrics, spans=spans)
+        if findings:
+            out.write("\ntroubleshooting findings:\n")
+            for d in findings:
+                out.write(f"  {d}\n")
+        elif metrics.n_tasks:
+            out.write("\nno troubleshooting findings — run looks healthy\n")
+
+    if args.check_parity:
+        problems = verify_parity(stream.rollup, metrics)
+        if problems:
+            out.write("PARITY FAILED:\n")
+            for p in problems:
+                out.write(f"  - {p}\n")
+            status = 1
+        else:
+            out.write("parity OK: rollup matches the exact reduction bit-for-bit\n")
+
+    engine = stream.engine
+    if engine is not None:
+        out.write(
+            f"watched {engine.events_seen} events across "
+            f"{engine.windows_closed} windows"
+            + (f", {stream.refreshes} mid-run refreshes\n"
+               if args.refresh_every is not None else "\n")
+        )
+        for a in engine.alerts:
+            verb = "RAISE" if a["topic"].endswith("raise") else "clear"
+            out.write(
+                f"ALERT {verb} t={a['t']:.0f} {a['alert']} {a['severity']} "
+                f"window={a['window']} level={a['level']:.4g}\n"
+            )
+        raised = len(engine.alerts_raised())
+        out.write(f"alerts: {raised} raised, {len(engine.alerts_cleared())} cleared\n")
+        if args.alerts_out is not None:
+            import json
+
+            with open(args.alerts_out, "w", encoding="utf-8") as fh:
+                json.dump(engine.alerts, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+            out.write(f"alert stream written to {args.alerts_out}\n")
+        if args.fail_on_alert and raised:
+            status = 1
+
+    if args.dash_out is not None:
+        stream.dashboard(args.dash_out, metrics=metrics, spans=spans,
+                         title=stream.title, now=stream.now)
+        out.write(f"dashboard written to {args.dash_out}\n")
+    return status
 
 
 def cmd_crashtest(args, out) -> int:
@@ -594,111 +565,6 @@ def cmd_topology(args, out) -> int:
     return 0
 
 
-def cmd_events(args, out) -> int:
-    from collections import Counter
-
-    from repro.monitor import RunMetrics, diagnose
-
-    metrics = RunMetrics()
-    events = _fold_stream(args, out, args.path, [metrics])
-
-    out.write(f"{len(events)} events from {args.path}\n")
-    counts = Counter(ev.get("topic", "?") for ev in events)
-    for topic, n in counts.most_common(args.top):
-        out.write(f"  {topic:<18s} {n:8d}\n")
-    if len(counts) > args.top:
-        out.write(f"  ... and {len(counts) - args.top} more topics\n")
-
-    out.write(
-        f"\ntask records: {metrics.n_tasks} "
-        f"({metrics.n_succeeded()} ok, {metrics.n_failed()} failed), "
-        f"evictions seen: {metrics.evictions_seen}\n"
-    )
-    if metrics.n_tasks:
-        b = metrics.runtime_breakdown()
-        out.write(f"overall efficiency: {metrics.overall_efficiency():.1%}\n")
-        for label, hours, pct in b.rows():
-            out.write(f"  {label:<16s} {hours:9.2f} h  {pct:5.1f}%\n")
-
-    findings = diagnose(metrics)
-    if findings:
-        out.write("\ntroubleshooting findings:\n")
-        for d in findings:
-            out.write(
-                f"  [{d.symptom}] {d.metric:.3g} > {d.threshold:.3g}: "
-                f"{d.suggestion}\n"
-            )
-    elif metrics.n_tasks:
-        out.write("\nno troubleshooting findings — run looks healthy\n")
-    return 0
-
-
-def cmd_trace(args, out) -> int:
-    """Produce and analyze span trees, live or from a recording.
-
-    Live mode runs the quickstart scenario with a
-    :class:`~repro.monitor.SpanTracer` attached; ``--replay`` instead
-    folds a JSONL event recording (span events are part of the bus
-    stream, so any ``--events-out`` file from a traced run replays
-    losslessly).  Both paths rebuild the spans and metrics with the same
-    folds.
-    """
-    from repro.monitor import (
-        RunMetrics,
-        SpanStreamBuilder,
-        critical_path,
-        diagnose,
-        format_breakdown,
-        work_coverage,
-        write_chrome_trace,
-        write_spans_jsonl,
-    )
-    from repro.monitor.tracing import orphan_spans
-
-    def live(env) -> None:
-        from repro.scenarios import execute_prepared, prepare_quickstart
-
-        prepared = prepare_quickstart(
-            events=args.events, workers=args.workers, seed=args.seed, env=env
-        )
-        execute_prepared(prepared, settle=300.0)
-
-    metrics, builder = RunMetrics(), SpanStreamBuilder()
-    events = _fold_stream(args, out, args.replay, [metrics, builder], live)
-    if events is not None:
-        out.write(f"replayed {len(events)} events from {args.replay}\n")
-    spans = builder.result()
-    traces = {s.trace_id for s in spans}
-    out.write(f"{len(spans)} spans across {len(traces)} traces, "
-              f"{len(orphan_spans(spans))} orphans\n")
-    if args.spans_out is not None:
-        n = write_spans_jsonl(spans, args.spans_out)
-        out.write(f"wrote {n} spans to {args.spans_out}\n")
-    if args.chrome_out is not None:
-        n = write_chrome_trace(spans, args.chrome_out)
-        out.write(f"wrote {n} trace events to {args.chrome_out} "
-                  f"(open in chrome://tracing or ui.perfetto.dev)\n")
-    if not spans:
-        return 0
-
-    slices, makespan = critical_path(spans)
-    if slices:
-        out.write("\n" + format_breakdown(slices, makespan, top=args.top) + "\n")
-        out.write(
-            f"critical path covers {work_coverage(slices, makespan):.1%} "
-            f"of the {makespan:.0f}s makespan\n"
-        )
-
-    findings = diagnose(metrics, spans=spans)
-    if findings:
-        out.write("\ntroubleshooting findings (with evidence spans):\n")
-        for d in findings:
-            out.write(f"  - {d}\n")
-    else:
-        out.write("\nno troubleshooting findings — run looks healthy\n")
-    return 0
-
-
 def cmd_sweep(args, out) -> int:
     """Expand a sweep spec, execute its matrix, and write the payload."""
     from repro.sweep import format_sweep_table, load_spec, run_sweep, write_json
@@ -773,196 +639,14 @@ def _parse_params(pairs: List[str]) -> dict:
     return params
 
 
-def cmd_dash(args, out) -> int:
-    """Render a run as a static HTML ops dashboard.
-
-    Live mode runs a DES scenario from the sweep registry with the
-    rollup, exact-metrics and span folds (plus a
-    :class:`~repro.monitor.SpanTracer`, so §5 diagnoses carry
-    click-through evidence spans) tapped onto the bus; ``--replay``
-    instead folds a JSONL event recording through the same folds.  Both
-    paths optionally cross-check the streaming rollup against the exact
-    :class:`~repro.monitor.RunMetrics` reduction.
-    """
-    from repro.monitor import (
-        Rollup,
-        RunMetrics,
-        SpanStreamBuilder,
-        verify_parity,
-        write_dashboard,
-    )
-
-    live = seed = bus = None
-    if args.replay is None:
-        build, seed = _registry_scenario(args)
-
-        def live(env) -> None:
-            nonlocal bus
-            bus = env.bus
-            build(env)
-
-    rollup, metrics, spans = Rollup(args.bin_width), RunMetrics(), SpanStreamBuilder()
-    events = _fold_stream(args, out, args.replay, [rollup, metrics, spans], live)
-    if events is not None:
-        bus_stats = None
-        title = f"replay of {args.replay}"
-        out.write(f"replayed {len(events)} events from {args.replay}\n")
-    else:
-        bus_stats = bus.stats()
-        title = f"{args.scenario} (seed {seed})"
-        out.write(
-            f"ran scenario {args.scenario!r}: {rollup.events_seen} events "
-            f"folded into {int(rollup.bin_width)}s windows\n"
-        )
-
-    if args.check_parity:
-        problems = verify_parity(rollup, metrics)
-        if problems:
-            out.write("PARITY FAILED:\n")
-            for p in problems:
-                out.write(f"  - {p}\n")
-            return 1
-        out.write("parity OK: rollup matches the exact reduction bit-for-bit\n")
-
-    write_dashboard(
-        args.out,
-        rollup,
-        metrics=metrics,
-        spans=spans.result(),
-        bus_stats=bus_stats,
-        title=title,
-    )
-    out.write(f"dashboard written to {args.out}\n")
-    return 0
-
-
-def cmd_watch(args, out) -> int:
-    """Watch a run live (or replay one) through the health engine.
-
-    Live mode attaches a :class:`~repro.monitor.RunWatcher` (after the
-    rollup, exact-metrics and span folds) to a DES scenario from the
-    sweep registry; every detector transition is printed as a greppable
-    ``ALERT`` line and published on the bus, and ``--refresh-every``
-    re-renders the dashboard atomically at window closes.  ``--replay``
-    runs the same folds and engine over a JSONL recording — the alert
-    stream is byte-identical to what the live run produced.
-    """
-    import json as _json
-
-    from repro.monitor import (
-        Rollup,
-        RunMetrics,
-        RunWatcher,
-        SpanStreamBuilder,
-        WatchEngine,
-        write_dashboard,
-    )
-
-    rollup, metrics, spans = Rollup(args.window), RunMetrics(), SpanStreamBuilder()
-    engine = WatchEngine(window=args.window)
-    folds = [rollup, metrics, spans]
-    refreshes = 0
-    live = seed = env = watcher = None
-    if args.replay is not None:
-        folds.append(engine)  # replay feeds the engine as the last fold
-    else:
-        build, seed = _registry_scenario(args)
-
-        def live(run_env) -> None:
-            nonlocal env, watcher
-            # Tapped after the folds, so alerts the watcher republishes
-            # reach them after the event that raised them.
-            env, watcher = run_env, RunWatcher(run_env.bus, engine)
-            if args.refresh_every is not None:
-                last = 0.0
-                sample_bus = engine.on_window  # the watcher's stats sampler
-
-                def on_window(w_idx: int, t: float) -> None:
-                    nonlocal last, refreshes
-                    sample_bus(w_idx, t)
-                    if t - last >= args.refresh_every:
-                        last = t
-                        write_dashboard(
-                            args.out,
-                            rollup,
-                            bus_stats=env.bus.stats(),
-                            title=f"{args.scenario} (live, t={t:.0f}s)",
-                            alerts=engine.alerts,
-                            watch_history=engine.history,
-                            bus_timeline=watcher.bus_timeline,
-                            now=t,
-                        )
-                        refreshes += 1
-
-                engine.on_window = on_window
-            build(env)
-
-    events = _fold_stream(args, out, args.replay, folds, live)
-    if events is not None:
-        bus_stats = bus_timeline = None
-        now = max((float(e.get("t", 0.0)) for e in events), default=None)
-        title = f"watch replay of {args.replay}"
-        out.write(f"replayed {len(events)} events from {args.replay}\n")
-    else:
-        bus_stats = env.bus.stats()
-        bus_timeline = watcher.bus_timeline
-        now = float(env.now)
-        title = f"{args.scenario} (seed {seed})"
-        out.write(
-            f"watched {engine.events_seen} events across "
-            f"{engine.windows_closed} windows"
-            + (f", {refreshes} mid-run refreshes\n"
-               if args.refresh_every is not None else "\n")
-        )
-
-    for a in engine.alerts:
-        verb = "RAISE" if a["topic"].endswith("raise") else "clear"
-        out.write(
-            f"ALERT {verb} t={a['t']:.0f} {a['alert']} {a['severity']} "
-            f"window={a['window']} level={a['level']:.4g}\n"
-        )
-    raised = len(engine.alerts_raised())
-    cleared = len(engine.alerts_cleared())
-    out.write(f"alerts: {raised} raised, {cleared} cleared\n")
-
-    if args.alerts_out is not None:
-        with open(args.alerts_out, "w", encoding="utf-8") as fh:
-            _json.dump(engine.alerts, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        out.write(f"alert stream written to {args.alerts_out}\n")
-
-    write_dashboard(
-        args.out,
-        rollup,
-        metrics=metrics,
-        spans=spans.result(),
-        bus_stats=bus_stats,
-        title=title,
-        alerts=engine.alerts,
-        watch_history=engine.history,
-        bus_timeline=bus_timeline,
-        now=now,
-    )
-    out.write(f"dashboard written to {args.out}\n")
-    if args.fail_on_alert and raised:
-        return 1
-    return 0
-
-
 _COMMANDS = {
-    "quickstart": cmd_quickstart,
-    "simulate": cmd_simulate,
-    "process": cmd_process,
-    "chaos": cmd_chaos,
+    "run": _fold_stream,
+    "replay": _fold_stream,
     "crashtest": cmd_crashtest,
     "tasksize": cmd_tasksize,
     "profiles": cmd_profiles,
     "topology": cmd_topology,
-    "events": cmd_events,
-    "trace": cmd_trace,
     "sweep": cmd_sweep,
-    "dash": cmd_dash,
-    "watch": cmd_watch,
 }
 
 
@@ -971,7 +655,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
-    except BrokenPipeError:  # e.g. `python -m repro events run.jsonl | head`
+    except BrokenPipeError:  # e.g. `python -m repro replay run.jsonl | head`
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141

@@ -11,8 +11,9 @@ SQLite Lobster DB.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..dbs import Dataset, LumiSection
 
@@ -77,7 +78,7 @@ class TaskletStore:
     def __init__(self, workflow: str):
         self.workflow = workflow
         self._tasklets: List[Tasklet] = []
-        self._pending: List[int] = []  # indices, FIFO
+        self._pending: Deque[int] = deque()  # indices, FIFO
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -160,7 +161,7 @@ class TaskletStore:
         """Take up to *n* pending tasklets and mark them assigned."""
         claimed = []
         while self._pending and len(claimed) < n:
-            idx = self._pending.pop(0)
+            idx = self._pending.popleft()
             t = self._tasklets[idx]
             t.state = TaskletState.ASSIGNED
             claimed.append(t)
@@ -204,7 +205,7 @@ class TaskletStore:
                 settled.append(t)
         if settled:
             gone = {t.tasklet_id - 1 for t in settled}
-            self._pending = [i for i in self._pending if i not in gone]
+            self._pending = deque(i for i in self._pending if i not in gone)
         return settled
 
     def reopen(self, tasklet_ids: Sequence[int]) -> List[Tasklet]:

@@ -253,8 +253,8 @@ class MasterCrash:
     dropped, and nothing is flushed — only the SQLite Lobster DB and the
     storage element survive.  The campaign resumes when a fresh
     ``LobsterRun(recover=True)`` is warm-started on the same DB (see
-    ``repro.scenarios.warm_restart`` and ``python -m repro chaos
-    --master-crash-at``).
+    ``repro.scenarios.execute_campaign`` and ``python -m repro run chaos
+    --param master_crash_at=S``).
     """
 
     kind = "master-crash"

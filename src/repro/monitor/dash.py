@@ -1,7 +1,8 @@
 """Static HTML ops dashboard rendered from streaming rollups.
 
-``python -m repro dash`` turns any run — live, or replayed from a JSONL
-recording — into one self-contained HTML file: headline tiles, per-class
+``python -m repro run <scenario> --dash-out`` (or ``replay <jsonl>
+--dash-out``) turns any run — live, or replayed from a JSONL recording —
+into one self-contained HTML file: headline tiles, per-class
 bandwidth strips, the task-state timeline, efficiency, chaos and
 integrity panels, segment-duration digests, bus telemetry, and the §5
 ``diagnose()`` findings with click-through links from each heuristic to
@@ -526,7 +527,7 @@ def _evidence_table(diagnoses: Sequence) -> str:
         "<th>duration</th><th>status</th></tr>"
         + rows
         + "</table><div class='sub'>open these ids in the trace viewer "
-        "(<span class='mono'>python -m repro trace</span>)</div></div>"
+        "(<span class='mono'>python -m repro replay --chrome-out</span>)</div></div>"
     )
 
 
@@ -565,7 +566,7 @@ def render_dashboard(
     body = [
         f"<h1>{_esc(title)}</h1>",
         "<div class='sub'>static ops dashboard · rendered from streaming "
-        "rollups · <span class='mono'>python -m repro dash</span></div>",
+        "rollups · <span class='mono'>python -m repro run/replay --dash-out</span></div>",
         _headline(rollup),
         _watch_panel(alerts, watch_history, bus_timeline)
         if alerts is not None

@@ -15,7 +15,7 @@ Design rules that make a clean run alert-silent and replays exact:
 * **Event-time window closure.**  Windows close when an *ingested
   event's* timestamp crosses the boundary — never on a simulation
   timer.  The engine's behaviour is therefore a pure function of the
-  event sequence: a live run and a ``--replay`` of its JSONL recording
+  event sequence: a live run and a ``replay`` of its JSONL recording
   produce byte-identical alert streams (pinned in
   ``tests/test_watch_determinism.py``).  The trailing partial window is
   never evaluated; a window only counts once it has fully elapsed.

@@ -1,19 +1,22 @@
 """Shared scenario builders — the single source of truth for every
-figure bench, CLI command, and sweep variant.
+figure bench, CLI run, and sweep variant.
 
-Historically each ``benchmarks/test_fig*.py`` and each CLI subcommand
-built its own copy of the Notre Dame deployment; this module extracts
-them so one construction feeds three consumers:
+Every campaign is built by a ``prepare_*`` builder, which wires the
+Notre Dame deployment but does *not* step the clock, and returns a
+:class:`PreparedRun`.  One construction feeds three consumers:
 
-* the figure benchmarks (:func:`data_processing_scenario`,
-  :func:`simulation_scenario`, :func:`cache_node_scenario`) — build and
-  run to completion, return a :class:`ScenarioResult`;
-* the CLI (``prepare_*`` builders) — build but do *not* step the clock,
-  so ``python -m repro`` can attach event sinks and drive the run
-  itself via :func:`execute_prepared`;
+* the figure benchmarks — :func:`data_processing_scenario` and
+  :func:`simulation_scenario` run :func:`prepare_data_processing` /
+  :func:`prepare_simulation` to completion and return a
+  :class:`ScenarioResult` (:func:`cache_node_scenario` is the Fig 6
+  microbenchmark);
+* ``python -m repro run <scenario>`` — the sweep registry names the
+  builders; the CLI taps its folds and sinks onto the bus, then drives
+  the run with :func:`execute_campaign`;
 * the :mod:`repro.sweep` engine — declarative params resolved by the
-  scenario registry land on exactly these builders, so a sweep variant
-  and a bespoke bench produce byte-identical dynamics.
+  scenario registry land on exactly these builders and the same
+  :func:`execute_campaign`, so a sweep variant, a CLI run and a bespoke
+  bench produce identical dynamics.
 
 Scaling rule (inherited from the benchmarks): core counts are reduced
 ~10x from the paper's 10-20k, and shared-resource capacities (WAN,
@@ -23,8 +26,8 @@ congestion *shapes* are preserved while runs stay fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from .analysis import data_processing_code, simulation_code
 from .batch import CondorPool, GlideinRequest, MachinePool
@@ -59,11 +62,15 @@ __all__ = [
     "data_processing_scenario",
     "simulation_scenario",
     "cache_node_scenario",
+    "prepare_data_processing",
+    "prepare_simulation",
     "prepare_quickstart",
     "prepare_simulate",
     "prepare_process",
     "prepare_chaos",
     "execute_prepared",
+    "execute_campaign",
+    "CRASH_SETTLE",
     "warm_restart",
 ]
 
@@ -91,7 +98,8 @@ class PreparedRun:
 
     The CLI attaches sinks/tracers between construction and execution;
     the sweep engine attaches a :class:`~repro.monitor.SpanTracer`.
-    Call :func:`execute_prepared` (or step ``env`` yourself) to run it.
+    Call :func:`execute_campaign` (or :func:`execute_prepared`, or step
+    ``env`` yourself) to run it.
     """
 
     env: Environment
@@ -99,7 +107,8 @@ class PreparedRun:
     pool: CondorPool
     services: Services
     injector: object = None  #: FaultInjector for chaos scenarios
-    extras: dict = field(default_factory=dict)
+    #: Simulated second of a planned master crash (None: no crash).
+    crash_at: Optional[float] = None
 
 
 def execute_prepared(
@@ -120,12 +129,50 @@ def execute_prepared(
     return ScenarioResult(env, prepared.run, prepared.pool, summary)
 
 
+#: Post-crash settle: the dead master's workers drain before the restart.
+CRASH_SETTLE = 60.0
+
+
+def execute_campaign(
+    prepared: PreparedRun,
+    settle: Optional[float] = 300.0,
+    log: Optional[Callable[[str], object]] = None,
+) -> ScenarioResult:
+    """Drive a campaign to completion, through a planned master crash.
+
+    Without a planned crash this is :func:`execute_prepared`.  With one
+    (``prepared.crash_at``), the run is driven until the master dies,
+    settled for :data:`CRASH_SETTLE` seconds, warm-restarted from its
+    Lobster DB on the same world (:func:`warm_restart`) and the resumed
+    run is driven with *settle*.  *log* receives one line per step of
+    that loop (``MASTER CRASHED ...``, ``WARM RESTART ...``).  Returns
+    the last segment's result.
+    """
+    if prepared.crash_at is None:
+        return execute_prepared(prepared, settle)
+    note = log if log is not None else (lambda line: None)
+    execute_prepared(prepared, settle=CRASH_SETTLE)
+    if not prepared.run.crashed:
+        note(
+            f"campaign finished before t={prepared.crash_at:.0f}s — "
+            "the master was never crashed\n"
+        )
+        return execute_prepared(prepared, settle)
+    note(
+        f"MASTER CRASHED at t={prepared.env.now:.0f}s "
+        f"({prepared.run.master.tasks_returned} task results banked so far)\n"
+    )
+    resumed = warm_restart(prepared)
+    note("WARM RESTART: recovering from the Lobster DB\n")
+    return execute_prepared(resumed, settle)
+
+
 # --------------------------------------------------------------------------
-# Figure-benchmark scenarios (run to completion).
+# Figure-benchmark scenarios.
 # --------------------------------------------------------------------------
 
 
-def data_processing_scenario(
+def prepare_data_processing(
     n_machines: int = 25,
     cores: int = 8,
     n_files: int = 1_200,
@@ -140,13 +187,12 @@ def data_processing_scenario(
     merge_mode: str = MergeMode.NONE,
     data_access: str = DataAccess.XROOTD,
     chirp_bandwidth: Optional[float] = None,
-    until: float = 400 * HOUR,
     seed: int = 0,
     start_interval: float = 2.0,
     foremen: int = 0,
     task_buffer: int = 400,
     env: Optional[Environment] = None,
-) -> ScenarioResult:
+) -> PreparedRun:
     """A scaled Fig 10-style data processing run.
 
     Default geometry: 200 cores streaming over a ~0.6 Gbit/s uplink (the
@@ -194,12 +240,15 @@ def data_processing_scenario(
         ),
         run.worker_payload,
     )
-    summary = env.run(until=run.process)
-    pool.drain()
-    return ScenarioResult(env, run, pool, summary)
+    return PreparedRun(env, run, pool, services)
 
 
-def simulation_scenario(
+def data_processing_scenario(**params) -> ScenarioResult:
+    """:func:`prepare_data_processing`, run to its last task."""
+    return execute_prepared(prepare_data_processing(**params), settle=None)
+
+
+def prepare_simulation(
     n_machines: int = 100,
     cores: int = 8,
     n_events: int = 6_000_000,
@@ -214,14 +263,13 @@ def simulation_scenario(
     with_hadoop: bool = False,
     eviction: Optional[EvictionModel] = None,
     merge_mode: str = MergeMode.NONE,
-    until: float = 400 * HOUR,
     seed: int = 0,
     start_interval: float = 0.5,
     intrinsic_failure_rate: Optional[float] = None,
     cache_mode=None,
     bad_machine_rate: Optional[float] = None,
     env: Optional[Environment] = None,
-) -> ScenarioResult:
+) -> PreparedRun:
     """A scaled Fig 11-style Monte-Carlo run.
 
     All workers start nearly simultaneously with cold caches, driving the
@@ -275,9 +323,12 @@ def simulation_scenario(
         ),
         run.worker_payload,
     )
-    summary = env.run(until=run.process)
-    pool.drain()
-    return ScenarioResult(env, run, pool, summary)
+    return PreparedRun(env, run, pool, services)
+
+
+def simulation_scenario(**params) -> ScenarioResult:
+    """:func:`prepare_simulation`, run to its last task."""
+    return execute_prepared(prepare_simulation(**params), settle=None)
 
 
 def cache_node_scenario(
@@ -338,7 +389,8 @@ def cache_node_scenario(
 
 
 # --------------------------------------------------------------------------
-# CLI scenarios (built, not executed — the caller drives the clock).
+# CLI scenarios (registered as ``quickstart``, ``simulate``, ``process``
+# and ``chaos`` in the sweep registry).
 # --------------------------------------------------------------------------
 
 
@@ -350,7 +402,7 @@ def prepare_quickstart(
     db=None,
     recover: bool = False,
 ) -> PreparedRun:
-    """The tiny end-to-end MC run behind ``python -m repro quickstart``.
+    """The tiny end-to-end MC run behind ``python -m repro run quickstart``.
 
     Pass *db* (a :class:`~repro.core.jobit_db.LobsterDB`) and
     ``recover=True`` to warm-restart an interrupted campaign from its
@@ -394,7 +446,7 @@ def prepare_simulate(
     label: str = "mc",
     env: Optional[Environment] = None,
 ) -> PreparedRun:
-    """The Fig 11-conditions MC run behind ``python -m repro simulate``."""
+    """The Fig 11-conditions MC run behind ``python -m repro run simulate``."""
     env = env if env is not None else Environment()
     services = Services.default(env, seed=seed)
     cfg = LobsterConfig(
@@ -437,7 +489,7 @@ def prepare_process(
     label: str = "data",
     env: Optional[Environment] = None,
 ) -> PreparedRun:
-    """The Fig 10-conditions data run behind ``python -m repro process``."""
+    """The Fig 10-conditions data run behind ``python -m repro run process``."""
     env = env if env is not None else Environment()
     dbs = DBS()
     ds = synthetic_dataset(
@@ -500,7 +552,7 @@ def prepare_chaos(
     db=None,
     recover: bool = False,
 ) -> PreparedRun:
-    """The fault-barrage data run behind ``python -m repro chaos``.
+    """The fault-barrage data run behind ``python -m repro run chaos``.
 
     The scenario exercises every recovery loop at once: a black-hole
     node (blacklisting), WAN flaps breaking XrootD streams
@@ -508,8 +560,8 @@ def prepare_chaos(
     rack eviction burst (requeue with backoff), and a degraded SE.
 
     With *master_crash_at* the plan additionally kills the Lobster
-    master itself at that simulated second; the caller warm-restarts
-    via :func:`warm_restart`.  *db*/*recover* thread straight into
+    master itself at that simulated second; :func:`execute_campaign`
+    warm-restarts via :func:`warm_restart`.  *db*/*recover* thread straight into
     :class:`~repro.core.LobsterRun` for resumed campaigns.
     """
     from .analysis.profiles import profile
@@ -598,7 +650,9 @@ def prepare_chaos(
         env, plan, services=services, pool=pool, master=run.master, run=run
     )
     injector.start()
-    return PreparedRun(env, run, pool, services, injector=injector)
+    return PreparedRun(
+        env, run, pool, services, injector=injector, crash_at=master_crash_at
+    )
 
 
 def warm_restart(prepared: PreparedRun) -> PreparedRun:
@@ -613,7 +667,8 @@ def warm_restart(prepared: PreparedRun) -> PreparedRun:
     replacement workers.
 
     Returns a new :class:`PreparedRun`; drive it with
-    :func:`execute_prepared` as usual.
+    :func:`execute_prepared` as usual (:func:`execute_campaign` runs the
+    whole crash-and-resume loop).
     """
     old = prepared.run
     if not getattr(old, "crashed", False):

@@ -8,9 +8,11 @@ modes, outage windows — into the objects the builders take.
 
 Two kinds exist:
 
-* ``des`` scenarios run a full discrete-event simulation; the engine
-  attaches a :class:`~repro.monitor.SpanTracer` and extracts the
-  standard metric set plus critical-path attribution.
+* ``des`` scenarios build a full discrete-event simulation; the engine
+  attaches a :class:`~repro.monitor.SpanTracer`, drives the run with
+  :func:`~repro.scenarios.execute_campaign` and extracts the standard
+  metric set plus critical-path attribution.  ``python -m repro run``
+  drives the same builders.
 * ``model`` scenarios are closed-form/Monte-Carlo models (the Fig 3
   task-size model, the Fig 6 cache microbenchmark); they return their
   metrics dict directly.
@@ -36,8 +38,9 @@ class ScenarioDef:
     """A sweepable scenario: ``kind`` is ``"des"`` or ``"model"``.
 
     ``des`` builders take ``(env, **params)`` and return a
-    :class:`~repro.scenarios.ScenarioResult`; ``model`` builders take
-    ``(**params)`` and return a flat metrics dict.
+    :class:`~repro.scenarios.PreparedRun` (built, clock not moved);
+    ``model`` builders take ``(**params)`` and return a flat metrics
+    dict.
     """
 
     name: str
@@ -140,6 +143,19 @@ def resolve_outages(spec):
     ]
 
 
+def resolve_profile(name: str, kind: str):
+    """The bundled analysis profile *name*; it must be of *kind*."""
+    from ..analysis.profiles import profile
+
+    try:
+        code = profile(name)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    if code.kind.value != kind:
+        raise ValueError(f"profile {name!r} is not a {kind} profile")
+    return code
+
+
 # --------------------------------------------------------------------------
 # Built-in scenarios
 # --------------------------------------------------------------------------
@@ -150,11 +166,11 @@ def resolve_outages(spec):
     "Fig 10-style data run (XrootD streaming / Chirp staging over a WAN)",
 )
 def _data_processing(env, **params):
-    from ..scenarios import data_processing_scenario
+    from ..scenarios import prepare_data_processing
 
     params["eviction"] = resolve_eviction(params.get("eviction"))
     params["outages"] = resolve_outages(params.get("outages"))
-    return data_processing_scenario(env=env, **params)
+    return prepare_data_processing(env=env, **params)
 
 
 @register_scenario(
@@ -162,20 +178,43 @@ def _data_processing(env, **params):
     "Fig 11-style Monte-Carlo run (cold caches, squid transient, Chirp queueing)",
 )
 def _simulation(env, **params):
-    from ..scenarios import simulation_scenario
+    from ..scenarios import prepare_simulation
 
     params["eviction"] = resolve_eviction(params.get("eviction"))
     params["cache_mode"] = resolve_cache_mode(params.get("cache_mode"))
-    return simulation_scenario(env=env, **params)
+    return prepare_simulation(env=env, **params)
 
 
 @register_scenario(
     "quickstart", "des", "tiny end-to-end MC run (the CLI quickstart)"
 )
 def _quickstart(env, **params):
-    from ..scenarios import execute_prepared, prepare_quickstart
+    from ..scenarios import prepare_quickstart
 
-    return execute_prepared(prepare_quickstart(env=env, **params), settle=None)
+    return prepare_quickstart(env=env, **params)
+
+
+@register_scenario(
+    "simulate", "des",
+    "MC production run of a bundled simulation profile (label mc-<profile>)",
+)
+def _simulate(env, profile: str = "digi-reco-mc", **params):
+    from ..scenarios import prepare_simulate
+
+    code = resolve_profile(profile, "simulation")
+    return prepare_simulate(code, label=f"mc-{profile}", env=env, **params)
+
+
+@register_scenario(
+    "process", "des",
+    "data run of a bundled data profile over a synthetic dataset "
+    "(label data-<profile>)",
+)
+def _process(env, profile: str = "ntuple", **params):
+    from ..scenarios import prepare_process
+
+    code = resolve_profile(profile, "data-processing")
+    return prepare_process(code, label=f"data-{profile}", env=env, **params)
 
 
 @register_scenario(
@@ -183,9 +222,9 @@ def _quickstart(env, **params):
     "data run under the injected fault barrage with active recovery",
 )
 def _chaos(env, **params):
-    from ..scenarios import execute_prepared, prepare_chaos
+    from ..scenarios import prepare_chaos
 
-    return execute_prepared(prepare_chaos(env=env, **params), settle=None)
+    return prepare_chaos(env=env, **params)
 
 
 @register_scenario(

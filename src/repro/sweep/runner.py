@@ -142,6 +142,7 @@ def execute_plan(plan: RunPlan, record_series: bool = False) -> RunResult:
 
     from ..desim import Environment
     from ..monitor import RunWatcher, SpanTracer
+    from ..scenarios import execute_campaign
 
     env = Environment()
     tracer = SpanTracer(env)
@@ -149,7 +150,7 @@ def execute_plan(plan: RunPlan, record_series: bool = False) -> RunResult:
     # counts are result metrics, and because the engine is a pure fold
     # of the event stream they are identical under --jobs 1 and N.
     watcher = RunWatcher(env.bus)
-    result = sdef.build(env=env, **params)
+    result = execute_campaign(sdef.build(env=env, **params), settle=None)
     tracer.finalize()
     metrics, contributors, coverage, series = _des_outcome(
         result, tracer, record_series

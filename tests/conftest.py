@@ -8,6 +8,8 @@ fixture so the matrix actually varies their draws while a plain local
 ``benchmarks/conftest.py`` and the sweep engine.
 """
 
+import io
+
 import pytest
 
 from repro.testing import resolve_test_seed
@@ -19,3 +21,17 @@ TEST_SEED = resolve_test_seed()
 def test_seed() -> int:
     """The seed for this CI matrix leg (0 outside the matrix)."""
     return TEST_SEED
+
+
+@pytest.fixture(scope="session")
+def run_cli():
+    """Call ``python -m repro`` in-process: ``run_cli(argv) -> (exit
+    code, stdout text)``; a usage error raises ``SystemExit``."""
+    from repro.cli import main
+
+    def run(argv):
+        out = io.StringIO()
+        code = main([str(a) for a in argv], out=out)
+        return code, out.getvalue()
+
+    return run

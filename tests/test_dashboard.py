@@ -1,18 +1,17 @@
 """The ops dashboard renderer and its CLI entry points (DESIGN.md §13).
 
-``python -m repro dash`` must render a complete, self-contained HTML
-document from both a live scenario run and a replayed JSONL recording,
+``python -m repro run/replay --dash-out`` must render a complete,
+self-contained HTML document from both a live scenario run and a
+replayed JSONL recording,
 with every §5 diagnosis evidence link resolving to an anchored span
 row.  The renderer itself is also exercised directly on synthetic
 rollups so panel presence doesn't depend on scenario runtime.
 """
 
-import io
 import re
 
 import pytest
 
-from repro.cli import main
 from repro.desim import Environment, EventBus, Topics
 from repro.monitor import (
     Rollup,
@@ -33,12 +32,6 @@ PANELS = (
     "Segment durations (streaming digests)",
     "Telemetry",
 )
-
-
-def run_cli(argv):
-    out = io.StringIO()
-    code = main(argv, out=out)
-    return code, out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -178,12 +171,12 @@ def test_write_dashboard_cleans_temp_on_render_failure(tmp_path):
 
 
 # -------------------------------------------------------------- CLI: live
-def test_cli_dash_live_with_parity(tmp_path):
+def test_cli_dash_live_with_parity(tmp_path, run_cli):
     out_path = str(tmp_path / "live.html")
     code, text = run_cli([
-        "dash", "--scenario", "quickstart",
+        "run", "quickstart",
         "--param", "events=20000", "--param", "workers=4",
-        "--check-parity", "--out", out_path,
+        "--check-parity", "--dash-out", out_path,
     ])
     assert code == 0
     assert "parity OK" in text
@@ -193,34 +186,35 @@ def test_cli_dash_live_with_parity(tmp_path):
         assert panel in html, panel
 
 
-def test_cli_dash_unknown_scenario_exits_with_catalog():
-    with pytest.raises(SystemExit, match="unknown scenario"):
-        run_cli(["dash", "--scenario", "nope"])
+def test_cli_dash_unknown_scenario_exits_with_catalog(run_cli):
+    with pytest.raises(SystemExit, match="unknown scenario.*quickstart"):
+        run_cli(["run", "nope", "--dash-out", "never.html"])
 
 
-def test_cli_dash_non_des_scenario_rejected():
+def test_cli_dash_non_des_scenario_rejected(run_cli):
     with pytest.raises(SystemExit, match="not a DES run scenario"):
-        run_cli(["dash", "--scenario", "tasksize"])
+        run_cli(["run", "tasksize", "--dash-out", "never.html"])
 
 
-def test_cli_dash_bad_param_rejected():
+def test_cli_dash_bad_param_rejected(run_cli):
     with pytest.raises(SystemExit, match="KEY=VALUE"):
-        run_cli(["dash", "--param", "events"])
+        run_cli(["run", "quickstart", "--param", "events"])
+    with pytest.raises(SystemExit, match="unexpected keyword argument 'bogus'"):
+        run_cli(["run", "quickstart", "--param", "bogus=1"])
 
 
 # ------------------------------------------------------------ CLI: replay
-def test_cli_dash_replay_matches_live(tmp_path):
+def test_cli_dash_replay_matches_live(tmp_path, run_cli):
     events_path = str(tmp_path / "events.jsonl")
     live_path = str(tmp_path / "live.html")
     replay_path = str(tmp_path / "replay.html")
     code, _ = run_cli([
-        "quickstart", "--events", "20000", "--workers", "4",
+        "run", "quickstart", "--param", "events=20000", "--param", "workers=4",
         "--events-out", events_path, "--dash-out", live_path,
     ])
     assert code == 0
     code, text = run_cli([
-        "dash", "--replay", events_path, "--check-parity",
-        "--out", replay_path,
+        "replay", events_path, "--check-parity", "--dash-out", replay_path,
     ])
     assert code == 0
     assert "parity OK" in text
@@ -230,9 +224,9 @@ def test_cli_dash_replay_matches_live(tmp_path):
         assert panel in live and panel in replay, panel
 
 
-def test_cli_dash_replay_missing_file_exits():
+def test_cli_dash_replay_missing_file_exits(run_cli):
     with pytest.raises(SystemExit):
-        run_cli(["dash", "--replay", "/nonexistent/events.jsonl"])
+        run_cli(["replay", "/nonexistent/events.jsonl", "--dash-out", "never.html"])
 
 
 # --------------------------------------------------- telemetry truthfulness

@@ -1,12 +1,9 @@
 """Extra coverage: Lobster DB queries against a real run, CLI variants."""
 
-import io
-
 import pytest
 
 from repro.analysis import simulation_code
 from repro.batch import CondorPool, GlideinRequest, MachinePool
-from repro.cli import main
 from repro.core import LobsterConfig, LobsterRun, MergeMode, Services, WorkflowConfig
 from repro.desim import Environment
 from repro.distributions import ConstantHazardEviction
@@ -79,13 +76,7 @@ def test_db_segment_histogram_covers_all_tasks():
 
 
 # ---------------------------------------------------------------- CLI extras
-def run_cli(argv):
-    out = io.StringIO()
-    code = main(argv, out=out)
-    return code, out.getvalue()
-
-
-def test_cli_tasksize_weibull_and_none():
+def test_cli_tasksize_weibull_and_none(run_cli):
     code, text = run_cli(
         ["tasksize", "--tasklets", "400", "--workers", "40", "--eviction", "weibull"]
     )
@@ -98,20 +89,20 @@ def test_cli_tasksize_weibull_and_none():
     assert "optimal: 10.00 h" in text
 
 
-def test_cli_process_with_outage():
+def test_cli_process_with_outage(run_cli):
     code, text = run_cli(
         [
-            "process",
-            "--files", "12",
-            "--machines", "2",
-            "--cores", "4",
-            "--outage-hours", "0.2",
+            "run", "process",
+            "--param", "files=12",
+            "--param", "machines=2",
+            "--param", "cores=4",
+            "--param", "outage_hours=0.2",
         ]
     )
     assert code == 0
     assert "LOBSTER RUN REPORT" in text
 
 
-def test_cli_unknown_profile_exits():
-    with pytest.raises(SystemExit):
-        run_cli(["simulate", "--profile", "no-such-profile"])
+def test_cli_unknown_profile_exits(run_cli):
+    with pytest.raises(SystemExit, match="unknown profile 'no-such-profile'"):
+        run_cli(["run", "simulate", "--param", "profile=no-such-profile"])

@@ -305,6 +305,108 @@ def test_claim_never_duplicates_tasklets(n, claims):
     assert len(seen) + store.pending_count == store.total
 
 
+class _ListPendingOracle:
+    """The tasklet state machine with its pending queue as a plain list
+    drained by ``pop(0)`` -- the store's FIFO before it became a deque."""
+
+    def __init__(self, n: int):
+        self.state = {i: TaskletState.PENDING for i in range(1, n + 1)}
+        self.attempts = dict.fromkeys(self.state, 0)
+        self.pending = list(range(n))  # indices, FIFO
+
+    def claim(self, k):
+        claimed = []
+        while self.pending and len(claimed) < k:
+            tid = self.pending.pop(0) + 1
+            self.state[tid] = TaskletState.ASSIGNED
+            claimed.append(tid)
+        return claimed
+
+    def mark_done(self, ids):
+        for tid in ids:
+            self.state[tid] = TaskletState.DONE
+
+    def mark_failed_attempt(self, ids, max_retries):
+        permanent = []
+        for tid in ids:
+            self.attempts[tid] += 1
+            if self.attempts[tid] >= max_retries:
+                self.state[tid] = TaskletState.FAILED
+                permanent.append(tid)
+            else:
+                self.state[tid] = TaskletState.PENDING
+                self.pending.append(tid - 1)
+        return permanent
+
+    def settle_done(self, ids):
+        settled = [tid for tid in sorted(self.state)
+                   if tid in ids and self.state[tid] == TaskletState.PENDING]
+        for tid in settled:
+            self.state[tid] = TaskletState.DONE
+        self.pending = [i for i in self.pending if i + 1 not in settled]
+        return settled
+
+    def reopen(self, ids):
+        reopened = [tid for tid in sorted(self.state)
+                    if tid in ids and self.state[tid] == TaskletState.DONE]
+        for tid in reopened:
+            self.state[tid] = TaskletState.PENDING
+            self.attempts[tid] += 1
+            self.pending.append(tid - 1)
+        return reopened
+
+
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["claim", "fail", "done", "settle", "reopen"]),
+            st.integers(min_value=0, max_value=8),
+        ),
+        max_size=60,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_pending_fifo_matches_list_oracle(n, ops):
+    """Claim, fail, settle_done and reopen drive the deque-backed store
+    and the list-backed oracle alike: same ids claimed in the same order,
+    same pending count after every step."""
+    store = TaskletStore.from_event_count("wf", n * 10, 10)
+    oracle = _ListPendingOracle(n)
+    by_id = {t.tasklet_id: t for t in store}
+    for op, k in ops:
+        assigned = sorted(i for i, s in oracle.state.items()
+                          if s == TaskletState.ASSIGNED)[:k]
+        if op == "claim":
+            got = [t.tasklet_id for t in store.claim(k)]
+            assert got == oracle.claim(k)
+        elif op == "fail":
+            got = store.mark_failed_attempt([by_id[i] for i in assigned], 3)
+            assert [t.tasklet_id for t in got] == oracle.mark_failed_attempt(assigned, 3)
+        elif op == "done":
+            store.mark_done([by_id[i] for i in assigned])
+            oracle.mark_done(assigned)
+        elif op == "settle":
+            ids = {i for i in oracle.state if i % (k + 1) == 0}
+            got = store.settle_done(ids)
+            assert [t.tasklet_id for t in got] == oracle.settle_done(ids)
+        else:
+            ids = {i for i in oracle.state if i % (k + 2) == 1}
+            got = store.reopen(ids)
+            assert [t.tasklet_id for t in got] == oracle.reopen(ids)
+        assert store.pending_count == len(oracle.pending)
+        assert {t.tasklet_id: t.state for t in store} == oracle.state
+    # A warm restart rebuilds the queue from DB rows (ASSIGNED re-pends).
+    rows = [(t.tasklet_id, t.lfn, t.n_events, t.input_bytes, t.state, t.attempts)
+            for t in store]
+    restored = TaskletStore.restore("wf", rows)
+    expected = [i for i, s in sorted(oracle.state.items())
+                if s in (TaskletState.PENDING, TaskletState.ASSIGNED)]
+    assert [t.tasklet_id for t in restored.claim(n)] == expected
+    assert [t.tasklet_id for t in store.claim(n)] == oracle.claim(n)
+    assert store.pending_count == 0
+
+
 @given(
     n=st.integers(min_value=1, max_value=30),
     max_retries=st.integers(min_value=1, max_value=5),

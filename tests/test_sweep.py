@@ -6,7 +6,6 @@ isolation, resume, and reduction are exercised without paying for a
 discrete-event simulation.
 """
 
-import io
 import json
 import os
 
@@ -28,10 +27,12 @@ from repro.sweep import (
 )
 from repro.sweep.registry import (
     get_scenario,
+    list_scenarios,
     resolve_cache_mode,
     resolve_eviction,
     resolve_outages,
 )
+from repro.scenarios import CRASH_SETTLE
 from repro.testing import resolve_test_seed
 
 
@@ -400,16 +401,67 @@ def test_unknown_scenario_lists_known_names():
         get_scenario("does-not-exist")
 
 
+# ---------------------------------------------------------------- DES builders
+#: Tiny parameters for every registered DES scenario.
+SMALL_DES = {
+    "quickstart": {"events": 1000, "workers": 1},
+    "simulate": {"events": 1000, "machines": 1, "profile": "gensim"},
+    "process": {"files": 2, "machines": 1, "profile": "skim"},
+    "chaos": {"files": 2, "machines": 2},
+    "data_processing": {"n_files": 2, "n_machines": 1},
+    "simulation": {"n_events": 1000, "n_machines": 1},
+}
+
+
+def test_des_builders_return_prepared_runs():
+    """Every ``des`` builder wires its campaign without moving the
+    clock, so ``run`` can attach sinks and folds before driving it."""
+    from repro.desim import Environment
+    from repro.scenarios import PreparedRun
+
+    assert sorted(s.name for s in list_scenarios() if s.kind == "des") == sorted(
+        SMALL_DES
+    )
+    labels = {}
+    for name, params in SMALL_DES.items():
+        prepared = get_scenario(name).build(Environment(), **params)
+        assert isinstance(prepared, PreparedRun), name
+        assert prepared.env.now == 0.0, name
+        labels[name] = [wf.label for wf in prepared.run.config.workflows]
+    assert labels["simulate"] == ["mc-gensim"]
+    assert labels["process"] == ["data-skim"]
+
+
+@pytest.mark.parametrize("name, profile, message", [
+    ("simulate", "skim", "not a simulation profile"),
+    ("process", "gensim", "not a data-processing profile"),
+    ("process", "nope", "unknown profile 'nope'"),
+])
+def test_profile_scenarios_reject_wrong_profiles(name, profile, message):
+    from repro.desim import Environment
+
+    with pytest.raises(ValueError, match=message):
+        get_scenario(name).build(Environment(), profile=profile)
+
+
+def test_sweep_cell_resumes_a_crashed_campaign():
+    """A ``master_crash_at`` sweep cell runs the same crash, warm-restart
+    and resume loop as ``run chaos``: the resumed campaign finishes."""
+    plan = SweepSpec(
+        name="crash", scenario="chaos", seed=1,
+        base={"files": 12, "machines": 6, "cores": 2},
+        axes=[Axis("crash", (Variant("t1500", {"master_crash_at": 1500.0}),))],
+    ).expand()[0]
+    row = execute_plan(plan)
+    assert row.ok, row.error
+    # Without the resume the cell would stop at the crash with 5 of the
+    # 12 files' outputs created.
+    assert row.metrics["makespan_s"] > 1500.0 + CRASH_SETTLE
+    assert row.metrics["outputs_created"] == 12.0
+
+
 # ---------------------------------------------------------------- CLI
-def run_cli(argv):
-    from repro.cli import main
-
-    out = io.StringIO()
-    code = main(argv, out=out)
-    return code, out.getvalue()
-
-
-def test_cli_sweep_list(tmp_path):
+def test_cli_sweep_list(tmp_path, run_cli):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(toy_spec().to_dict()))
     code, text = run_cli(["sweep", str(path), "--list"])
@@ -418,7 +470,7 @@ def test_cli_sweep_list(tmp_path):
         assert plan.run_id in text
 
 
-def test_cli_sweep_end_to_end(tmp_path):
+def test_cli_sweep_end_to_end(tmp_path, run_cli):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(toy_spec().to_dict()))
     out_path = tmp_path / "BENCH_sweep.json"
@@ -433,7 +485,7 @@ def test_cli_sweep_end_to_end(tmp_path):
     assert os.path.getsize(out_path) > 0
 
 
-def test_cli_sweep_failure_sets_exit_code(tmp_path):
+def test_cli_sweep_failure_sets_exit_code(tmp_path, run_cli):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(crashy_spec().to_dict()))
     out_path = tmp_path / "BENCH_sweep.json"
@@ -442,6 +494,6 @@ def test_cli_sweep_failure_sets_exit_code(tmp_path):
     assert "failed runs:" in text
 
 
-def test_cli_sweep_missing_spec():
+def test_cli_sweep_missing_spec(run_cli):
     with pytest.raises(SystemExit):
         run_cli(["sweep", "/does/not/exist.json"])

@@ -250,30 +250,22 @@ def test_watcher_samples_bus_stats_per_window(chaos_watch):
 
 
 @pytest.fixture(scope="module")
-def cli_watch_chaos(tmp_path_factory):
-    """``repro watch`` on the chaos scenario, live and then replayed from
-    the live run's recording."""
-    import io
-
-    from repro.cli import main
-
-    def run_cli(argv):
-        out = io.StringIO()
-        return main(argv, out=out), out.getvalue()
-
+def cli_watch_chaos(tmp_path_factory, run_cli):
+    """``repro run chaos --watch``, live and then replayed from the live
+    run's recording."""
     tmp = tmp_path_factory.mktemp("watch")
     events = str(tmp / "events.jsonl")
     live = run_cli([
-        "watch", "--scenario", "chaos", "--seed", "5",
+        "run", "chaos", "--seed", "5",
         "--param", "files=60", "--param", "machines=12", "--param", "cores=4",
-        "--events-out", events, "--alerts-out", str(tmp / "alerts_live.json"),
+        "--events-out", events, "--alerts-out", tmp / "alerts_live.json",
         "--refresh-every", "1800", "--fail-on-alert",
-        "--out", str(tmp / "watch.html"),
+        "--dash-out", tmp / "watch.html",
     ])
     replay = run_cli([
-        "watch", "--replay", events,
-        "--alerts-out", str(tmp / "alerts_replay.json"),
-        "--out", str(tmp / "watch_replay.html"),
+        "replay", events,
+        "--alerts-out", tmp / "alerts_replay.json",
+        "--dash-out", tmp / "watch_replay.html",
     ])
     return tmp, live, replay
 
@@ -302,19 +294,14 @@ def test_cli_watch_live_and_replay_dashboards_carry_diagnosis(cli_watch_chaos):
         assert "Live run health" in html, name
 
 
-def test_cli_watch_clean_quickstart_exits_zero(tmp_path):
-    import io
-
-    from repro.cli import main
-
-    out = io.StringIO()
-    code = main([
-        "watch", "--scenario", "quickstart",
+def test_cli_watch_clean_quickstart_exits_zero(tmp_path, run_cli):
+    code, text = run_cli([
+        "run", "quickstart",
         "--param", "events=20000", "--param", "workers=4",
-        "--fail-on-alert", "--out", str(tmp_path / "q.html"),
-    ], out=out)
+        "--fail-on-alert", "--dash-out", tmp_path / "q.html",
+    ])
     assert code == 0
-    assert "alerts: 0 raised, 0 cleared" in out.getvalue()
+    assert "alerts: 0 raised, 0 cleared" in text
 
 
 def test_watcher_close_detaches(chaos_watch):
